@@ -10,6 +10,7 @@ from .landscape import (
     fitness_batch,
     load_dataset,
     load_landscape,
+    nk_datasets,
     nk_fitness,
     nk_new,
     save_dataset,

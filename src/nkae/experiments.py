@@ -7,6 +7,16 @@ sweep recomputes only that trial, bit-identically). Within a cell all
 architectures share one landscape and one train/test dataset pair, which
 removes data variance from the architecture comparison.
 
+Each process builds a cell's pair once and keeps it, read-only, while its
+trials run; trials are ordered so that those sharing data run back to back.
+The pair is drawn by `landscape.nk_datasets`, which streams the landscape
+tables row by row instead of holding all n * 2**(k+1) entries, so a sweep's
+memory is set by its datasets and networks, not by its largest k.
+
+Each trial writes its four artifacts through a temporary file and
+`os.replace`, `_result.json` last; a trial counts as complete only when all
+four exist, so a sweep killed at any point resumes correctly.
+
 Wall-clock durations are inherently not reproducible, so `results.csv`
 keeps its `duration_ms` column empty and measured timings go to the
 `timings.csv` sidecar; everything else in the output tree is byte-identical
@@ -15,8 +25,10 @@ across re-runs and worker counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -66,6 +78,10 @@ class ExperimentConfig:
             raise ParameterError(f"runs must be >= 1, got {self.runs}")
         if self.workers < 1:
             raise ParameterError(f"workers must be >= 1, got {self.workers}")
+        if self.train_count < 1 or self.test_count < 1:
+            raise ParameterError(
+                f"train_count and test_count must be >= 1, got {self.train_count} and {self.test_count}"
+            )
         if self.master_seed < 0:
             raise ParameterError(f"master seed must be >= 0, got {self.master_seed}")
         for arch in self.archs:
@@ -122,20 +138,45 @@ def _trial_paths(spec: TrialSpec) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _cell_datasets(n, k, neighbor_mode, landscape_seed, train_count, train_seed,
+                   test_count, test_seed):
+    """One cell's read-only (train, test) pair, kept while consecutive trials share it."""
+    datasets = nkland.nk_datasets(
+        n, k, landscape_seed, [(train_count, train_seed), (test_count, test_seed)], neighbor_mode
+    )
+    for dataset in datasets:
+        dataset.inputs.flags.writeable = False
+        dataset.targets.flags.writeable = False
+    return tuple(datasets)
+
+
+def _write_atomic(path: Path, write) -> None:
+    """Call `write` on a temporary sibling of `path`, then move it into place."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def run_trial(spec: TrialSpec) -> TrialResult:
     """Regenerate the trial's data from seeds, train, and write its artifacts."""
     paths = _trial_paths(spec)
-    land = nkland.nk_new(spec.n, spec.k, spec.landscape_seed, spec.neighbor_mode)
-    train_set = nkland.gen_dataset(land, spec.train_count, spec.train_seed)
-    test_set = nkland.gen_dataset(land, spec.test_count, spec.test_seed)
+    train_set, test_set = _cell_datasets(
+        spec.n, spec.k, spec.neighbor_mode, spec.landscape_seed,
+        spec.train_count, spec.train_seed, spec.test_count, spec.test_seed,
+    )
     config = replace(spec.train_config, seed=spec.trial_seed)
     start = time.perf_counter()
     network, log = hillclimb.train(spec.arch, train_set, test_set, config)
     duration_ms = (time.perf_counter() - start) * 1000.0
     Path(spec.cell_dir).mkdir(parents=True, exist_ok=True)
-    hillclimb.write_cycle_log(log.records, paths["cycles"])
-    hillclimb.write_snapshot_log(log.snapshots, paths["snapshots"])
-    nets.save_network(network, paths["network"])
+    _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log.records, p))
+    _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
+    _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
     result = TrialResult(
         spec.n, spec.k, spec.arch, spec.run, spec.trial_seed,
         log.final_train_task_mse, log.final_test_task_mse, log.final_ae_mse,
@@ -148,7 +189,8 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         "final_test_mse": result.final_test_mse,
         "final_ae_mse": result.final_ae_mse,
     }
-    paths["result"].write_text(json.dumps(payload), encoding="utf-8")
+    text = json.dumps(payload)
+    _write_atomic(paths["result"], lambda p: p.write_text(text, encoding="utf-8"))
     return result
 
 
@@ -171,10 +213,11 @@ def build_trial_specs(config: ExperimentConfig) -> list[TrialSpec]:
     for n, k in itertools.product(config.n_grid, config.k_grid):
         cell_dir = str(config.out_dir / f"n{n}_k{k}")
         landscape_seed = derive_seed(master, PURPOSE_LANDSCAPE, n, k)
-        for arch in config.archs:
-            code = ARCH_CODES[arch]
-            for run in range(config.runs):
-                data_run = run if config.fresh_data_per_run else 0
+        # run-major, so that trials sharing a dataset pair are adjacent
+        for run in range(config.runs):
+            data_run = run if config.fresh_data_per_run else 0
+            for arch in config.archs:
+                code = ARCH_CODES[arch]
                 specs.append(
                     TrialSpec(
                         n, k, arch, run,
@@ -243,11 +286,14 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
             results.append(_load_trial_result(spec))
         else:
             pending.append(spec)
-    if config.workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results.extend(pool.map(run_trial, pending))
-    else:
-        results.extend(run_trial(s) for s in pending)
+    try:
+        if config.workers > 1 and len(pending) > 1:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                results.extend(pool.map(run_trial, pending))
+        else:
+            results.extend(run_trial(s) for s in pending)
+    finally:
+        _cell_datasets.cache_clear()
     write_results_csv(results, config.out_dir / "results.csv")
     timed = [r for r in results if r.duration_ms is not None]
     lines = ["n,k,arch,run,duration_ms"]

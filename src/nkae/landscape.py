@@ -22,6 +22,29 @@ from .errors import ParameterError
 MAX_K = 15
 
 
+def _check_size(n, k):
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
+    if not 1 <= k <= min(MAX_K, n - 1):
+        raise ParameterError(
+            f"k must satisfy 1 <= k <= min({MAX_K}, n-1) = {min(MAX_K, n - 1)}, got {k}"
+        )
+
+
+def _check_neighbors(n, k, neighbors):
+    if neighbors.shape != (n, k):
+        raise ParameterError(f"neighbors must have shape ({n}, {k})")
+    for i in range(n):
+        row = neighbors[i]
+        if len(set(row.tolist())) != k or i in row or row.min() < 0 or row.max() >= n:
+            raise ParameterError(f"neighbors[{i}] must be {k} distinct indices != {i} in [0, {n})")
+
+
+def _check_table(table):
+    if table.min() < 0.0 or table.max() > 1.0:
+        raise ParameterError("table entries must lie in [0.0, 1.0]")
+
+
 class NkLandscape:
     """A seeded NK landscape: epistasis structure plus fitness tables.
 
@@ -42,30 +65,13 @@ class NkLandscape:
         self.tables = np.asarray(tables, dtype=np.float64)
         self.neighbor_mode = neighbor_mode
         self._validate()
-        # own gene index first, then neighbors: one gather per evaluation
-        self._lookup_cols = np.concatenate(
-            [np.arange(self.n, dtype=np.int64)[:, None], self.neighbors], axis=1
-        )
-        self._rows = np.arange(self.n)
 
     def _validate(self):
-        n, k = self.n, self.k
-        if n < 2:
-            raise ParameterError(f"n must be >= 2, got {n}")
-        if not 1 <= k <= min(MAX_K, n - 1):
-            raise ParameterError(
-                f"k must satisfy 1 <= k <= min({MAX_K}, n-1) = {min(MAX_K, n - 1)}, got {k}"
-            )
-        if self.neighbors.shape != (n, k):
-            raise ParameterError(f"neighbors must have shape ({n}, {k})")
-        if self.tables.shape != (n, 2 ** (k + 1)):
-            raise ParameterError(f"tables must have shape ({n}, {2 ** (k + 1)})")
-        for i in range(n):
-            row = self.neighbors[i]
-            if len(set(row.tolist())) != k or i in row or row.min() < 0 or row.max() >= n:
-                raise ParameterError(f"neighbors[{i}] must be {k} distinct indices != {i} in [0, {n})")
-        if self.tables.min() < 0.0 or self.tables.max() > 1.0:
-            raise ParameterError("table entries must lie in [0.0, 1.0]")
+        _check_size(self.n, self.k)
+        _check_neighbors(self.n, self.k, self.neighbors)
+        if self.tables.shape != (self.n, 2 ** (self.k + 1)):
+            raise ParameterError(f"tables must have shape ({self.n}, {2 ** (self.k + 1)})")
+        _check_table(self.tables)
 
     def __eq__(self, other):
         if not isinstance(other, NkLandscape):
@@ -100,22 +106,11 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def nk_new(n: int, k: int, seed: int, neighbor_mode: str = "random") -> NkLandscape:
-    """Construct a seeded landscape; deterministic in (n, k, seed, neighbor_mode).
-
-    Neighbor rows are drawn gene by gene (uniform without replacement, or the
-    next k indices cyclically for "adjacent"), then all table entries in one
-    uniform [0, 1) draw.
-    """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 1 <= k <= min(MAX_K, n - 1):
-        raise ParameterError(
-            f"k must satisfy 1 <= k <= min({MAX_K}, n-1) = {min(MAX_K, n - 1)}, got {k}"
-        )
+def _draw_neighbors(rng, n, k, neighbor_mode):
+    """Gene by gene: uniform without replacement, or the next k indices cyclically."""
+    _check_size(n, k)
     if neighbor_mode not in ("random", "adjacent"):
         raise ParameterError(f"neighbor_mode must be 'random' or 'adjacent', got {neighbor_mode!r}")
-    rng = np.random.default_rng(seed)
     neighbors = np.empty((n, k), dtype=np.int64)
     if neighbor_mode == "adjacent":
         for i in range(n):
@@ -124,6 +119,18 @@ def nk_new(n: int, k: int, seed: int, neighbor_mode: str = "random") -> NkLandsc
         for i in range(n):
             candidates = np.delete(np.arange(n, dtype=np.int64), i)
             neighbors[i] = rng.choice(candidates, size=k, replace=False)
+    return neighbors
+
+
+def nk_new(n: int, k: int, seed: int, neighbor_mode: str = "random") -> NkLandscape:
+    """Construct a seeded landscape; deterministic in (n, k, seed, neighbor_mode).
+
+    Neighbor rows are drawn gene by gene (uniform without replacement, or the
+    next k indices cyclically for "adjacent"), then all table entries in one
+    uniform [0, 1) draw.
+    """
+    rng = np.random.default_rng(seed)
+    neighbors = _draw_neighbors(rng, n, k, neighbor_mode)
     tables = rng.random((n, 2 ** (k + 1)))
     return NkLandscape(n, k, seed, neighbors, tables, neighbor_mode)
 
@@ -137,6 +144,29 @@ def _check_genomes(landscape, genomes):
     if not np.isin(genomes, (0, 1)).all():
         raise ParameterError("genome entries must be 0 or 1")
     return genomes.astype(np.uint8, copy=False)
+
+
+def _lookup_indices(genomes, neighbors):
+    """(n, m) table column of each gene for each of m 0/1 genome rows."""
+    bits = np.ascontiguousarray(genomes.T)
+    idx = bits.astype(np.int64)
+    for j in range(neighbors.shape[1]):
+        idx <<= 1
+        idx |= bits[neighbors[:, j]]
+    return idx
+
+
+def _mean_lookups(table_rows, indices, n):
+    """Per-genome mean table lookup, one array per (n, m) index array.
+
+    `table_rows` yields gene i's table for i = 0 .. n-1; each total adds the
+    contributions in gene order.
+    """
+    totals = [np.zeros(idx.shape[1]) for idx in indices]
+    for i, row in enumerate(table_rows):
+        for total, idx in zip(totals, indices):
+            total += row[idx[i]]
+    return [total / n for total in totals]
 
 
 def gene_contribution(landscape: NkLandscape, i: int, genome) -> float:
@@ -153,20 +183,33 @@ def gene_contribution(landscape: NkLandscape, i: int, genome) -> float:
 def fitness_batch(landscape: NkLandscape, genomes) -> np.ndarray:
     """Fitness of each genome row: per-gene contributions summed in gene order, / n."""
     genomes = _check_genomes(landscape, genomes)
-    bits = genomes[:, landscape._lookup_cols]            # (m, n, k+1)
-    idx = np.zeros(bits.shape[:2], dtype=np.int64)
-    for j in range(bits.shape[2]):
-        idx = (idx << 1) | bits[:, :, j]
-    contrib = landscape.tables[landscape._rows, idx]     # (m, n)
-    total = np.zeros(genomes.shape[0])
-    for i in range(landscape.n):
-        total += contrib[:, i]
-    return total / landscape.n
+    idx = _lookup_indices(genomes, landscape.neighbors)
+    return _mean_lookups(landscape.tables, [idx], landscape.n)[0]
 
 
 def nk_fitness(landscape: NkLandscape, genome) -> float:
     """Normalized fitness of one genome; always in [0, 1]."""
     return float(fitness_batch(landscape, np.asarray(genome)[None, :])[0])
+
+
+def _draw_genomes(count, n, seed):
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+
+
+def _dataset(genomes, targets, landscape_seed, seed, k, neighbor_mode):
+    inputs = genomes.astype(np.float64) * 2.0 - 1.0
+    meta = {
+        "landscape_seed": int(landscape_seed),
+        "dataset_seed": int(seed),
+        "n": genomes.shape[1],
+        "k": int(k),
+        "count": genomes.shape[0],
+        "neighbor_mode": neighbor_mode,
+    }
+    return Dataset(inputs, targets, meta)
 
 
 def gen_dataset(landscape: NkLandscape, count: int, seed: int) -> Dataset:
@@ -175,21 +218,41 @@ def gen_dataset(landscape: NkLandscape, count: int, seed: int) -> Dataset:
     Deterministic in (landscape, count, seed); the generator is independent
     of the landscape's construction stream.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(count, landscape.n), dtype=np.uint8)
-    inputs = bits.astype(np.float64) * 2.0 - 1.0
-    targets = fitness_batch(landscape, bits)
-    meta = {
-        "landscape_seed": landscape.seed,
-        "dataset_seed": int(seed),
-        "n": landscape.n,
-        "k": landscape.k,
-        "count": int(count),
-        "neighbor_mode": landscape.neighbor_mode,
-    }
-    return Dataset(inputs, targets, meta)
+    genomes = _draw_genomes(count, landscape.n, seed)
+    targets = fitness_batch(landscape, genomes)
+    return _dataset(genomes, targets, landscape.seed, seed, landscape.k, landscape.neighbor_mode)
+
+
+def nk_datasets(n: int, k: int, landscape_seed: int, requests,
+                neighbor_mode: str = "random") -> list[Dataset]:
+    """Datasets from one landscape, without materialising its tables.
+
+    Returns one Dataset per `(count, seed)` in `requests`, byte-identical to
+    `gen_dataset(nk_new(n, k, landscape_seed, neighbor_mode), count, seed)`.
+    The tables are drawn one gene row at a time into a single 2**(k+1)
+    buffer: the generator yields the same values row by row as in one
+    (n, 2**(k+1)) draw, so memory is set by the datasets rather than by the
+    tables (512 KiB instead of 500 MiB at n=1000, k=15).
+    """
+    rng = np.random.default_rng(landscape_seed)
+    neighbors = _draw_neighbors(rng, n, k, neighbor_mode)
+    _check_neighbors(n, k, neighbors)
+    genomes = [_draw_genomes(count, n, seed) for count, seed in requests]
+    indices = [_lookup_indices(g, neighbors) for g in genomes]
+    row = np.empty(2 ** (k + 1))
+
+    def table_rows():
+        for _ in range(n):
+            rng.random(out=row)
+            _check_table(row)
+            yield row
+
+    targets = _mean_lookups(table_rows(), indices, n)
+    del indices
+    return [
+        _dataset(g, t, landscape_seed, seed, k, neighbor_mode)
+        for g, t, (_, seed) in zip(genomes, targets, requests)
+    ]
 
 
 def save_landscape(landscape: NkLandscape, path) -> None:
@@ -238,17 +301,37 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read examples written by `save_dataset`; malformed content raises ParameterError."""
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         n = len(header) - 1
-        inputs, targets = [], []
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            inputs.append([float(c) for c in cells[:n]])
-            targets.append(float(cells[n]))
+        if n < 1 or header != [f"x{i + 1}" for i in range(n)] + ["y"]:
+            raise ParameterError(f"{path}: header must be x1,...,xN,y")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != n + 1:
+                raise ParameterError(f"{path}:{lineno}: expected {n + 1} cells, got {len(cells)}")
+            try:
+                values = [float(c) for c in cells]
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: cells must be numeric") from None
+            if not set(values[:n]) <= {-1.0, 1.0}:
+                raise ParameterError(f"{path}:{lineno}: inputs must be -1 or 1")
+            if not np.isfinite(values[n]):
+                raise ParameterError(f"{path}:{lineno}: target must be finite")
+            rows.append(values)
+    if not rows:
+        raise ParameterError(f"{path}: no examples")
     meta = {}
     mp = _meta_path(path)
     if mp.exists():
-        meta = json.loads(mp.read_text(encoding="utf-8"))
-    return Dataset(np.asarray(inputs), np.asarray(targets), meta)
+        try:
+            meta = json.loads(mp.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{mp}: {exc}") from None
+    data = np.asarray(rows)
+    return Dataset(np.ascontiguousarray(data[:, :n]), np.ascontiguousarray(data[:, n]), meta)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nkae
 from nkae import load_dataset, load_landscape
 from nkae.cli import cli_main
 
@@ -124,6 +127,21 @@ def test_bad_parameters_exit_one(tmp_path, capsys):
     assert "k must satisfy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, message", [("abc", "numeric"), ("7", "-1 or 1")])
+def test_bad_train_data_exits_one(tmp_path, capsys, cell, message):
+    land = tmp_path / "land.json"
+    run_cli("gen-landscape", "--n", "4", "--k", "2", "--seed", "3", "--out", str(land))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x1,x2,x3,x4,y\n1,-1,1,-1,0.5\n1,{cell},1,-1,0.25\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("train", "--arch", "nn", "--landscape", str(land), "--train-data", str(bad),
+                   "--iterations", "10", "--out-dir", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and "bad.csv:3" in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     assert run_cli("gen-dataset", "--landscape", str(tmp_path / "absent.json"),
                    "--seed", "1", "--out", str(tmp_path / "d.csv")) == 2
@@ -162,8 +180,11 @@ def test_help_documents_default_setup(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same nkae as this session, installed or from src/
+    src = str(Path(nkae.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "nkae.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "nkae.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "gen-landscape" in proc.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 from pathlib import Path
 
@@ -82,6 +83,12 @@ def test_invalid_grid_rejected(tmp_path):
         ExperimentConfig(master_seed=1, out_dir=tmp_path, archs=("mlp",))
 
 
+@pytest.mark.parametrize("counts", [{"train_count": 0}, {"test_count": 0}, {"test_count": -3}])
+def test_nonpositive_example_counts_rejected(tmp_path, counts):
+    with pytest.raises(ParameterError, match="train_count and test_count"):
+        ExperimentConfig(master_seed=1, out_dir=tmp_path, **counts)
+
+
 # --- running sweeps ----------------------------------------------------------------------
 
 def test_single_arch_two_runs(tmp_path):
@@ -142,6 +149,80 @@ def test_duration_column_stays_empty(tmp_path):
     assert all(line.endswith(",") for line in lines[1:])
     timing_lines = (tmp_path / "out" / "timings.csv").read_text().splitlines()
     assert len(timing_lines) == 3  # header + 2 executed trials
+
+
+# --- cell data built once per process -----------------------------------------------------
+
+def count_builds(monkeypatch):
+    builds = []
+    real = exps.nkland.nk_datasets
+
+    def counted(n, k, landscape_seed, requests, neighbor_mode):
+        builds.append((n, k, tuple(requests)))
+        return real(n, k, landscape_seed, requests, neighbor_mode)
+
+    monkeypatch.setattr(exps.nkland, "nk_datasets", counted)
+    return builds
+
+
+@pytest.mark.parametrize("fresh, expected", [(False, 2), (True, 4)])
+def test_cell_data_built_once_per_cell_or_run(tmp_path, monkeypatch, fresh, expected):
+    builds = count_builds(monkeypatch)
+    config = dataclasses.replace(
+        tiny_config(tmp_path / "out", fresh_data_per_run=fresh), k_grid=(2, 3)
+    )
+    assert len(run_experiment(config)) == 12
+    # 2 cells; with fresh data, one pair per (cell, run)
+    assert len(builds) == expected
+    assert len(set(builds)) == expected
+    assert exps._cell_datasets.cache_info().currsize == 0
+
+
+def test_cached_datasets_are_read_only(tmp_path, monkeypatch):
+    seen = []
+    real_train = exps.hillclimb.train
+
+    def spying_train(arch, train_set, test_set, config):
+        seen.extend([train_set, test_set])
+        return real_train(arch, train_set, test_set, config)
+
+    monkeypatch.setattr(exps.hillclimb, "train", spying_train)
+    run_experiment(tiny_config(tmp_path / "out"))
+    assert len(seen) == 12
+    for dataset in seen:
+        with pytest.raises(ValueError):
+            dataset.inputs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            dataset.targets[0] = 0.0
+
+
+# --- interrupted sweeps ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("suffix", ["_cycles.csv", "_network.json", "_result.json"])
+def test_interrupted_write_resumes_identically(tmp_path, monkeypatch, suffix):
+    run_experiment(tiny_config(tmp_path / "clean"))
+    real_write = Path.write_text
+    attempts = []
+
+    def failing_write(self, text, *args, **kwargs):
+        if suffix in self.name:
+            attempts.append(self)
+            if len(attempts) == 3:
+                real_write(self, text[: len(text) // 2], *args, **kwargs)
+                raise RuntimeError("killed mid-write")
+        return real_write(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    with pytest.raises(RuntimeError, match="killed mid-write"):
+        run_experiment(tiny_config(tmp_path / "out"))
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    assert not list(out.rglob("*.tmp"))
+    assert not attempts[-1].with_suffix("").exists()
+    # a hard kill skips the clean-up and leaves the truncated temporary file
+    attempts[-1].write_text('{"n": 8, "k"', encoding="utf-8")
+    assert len(run_experiment(tiny_config(out))) == 6
+    assert read_tree(out) == read_tree(tmp_path / "clean")
 
 
 # --- aggregation -----------------------------------------------------------------------------

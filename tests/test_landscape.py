@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,8 @@ from nkae import (
     save_dataset,
     save_landscape,
 )
-from nkae.landscape import NkLandscape
+from nkae import landscape as nkland
+from nkae.landscape import MAX_K, NkLandscape, nk_datasets
 
 from oracles import all_genomes, oracle_fitness, oracle_gene_contribution
 
@@ -180,3 +184,89 @@ def test_dataset_roundtrip_with_meta(tmp_path):
     assert np.array_equal(loaded.targets, ds.targets)
     assert loaded.meta["dataset_seed"] == 66
     assert loaded.meta["landscape_seed"] == 55
+
+
+# --- streamed datasets -------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["random", "adjacent"])
+@pytest.mark.parametrize("n, k", [(2, 1), (8, 2), (20, 5), (33, 7), (16, MAX_K)])
+def test_nk_datasets_matches_nk_new_and_gen_dataset(n, k, mode):
+    requests = [(40, 5), (1, 6), (17, 7)]
+    land = nk_new(n, k, seed=321, neighbor_mode=mode)
+    streamed = nk_datasets(n, k, 321, requests, mode)
+    assert len(streamed) == len(requests)
+    for got, (count, seed) in zip(streamed, requests):
+        want = gen_dataset(land, count, seed)
+        assert got.inputs.dtype == want.inputs.dtype and got.inputs.shape == want.inputs.shape
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.targets.dtype == want.targets.dtype and got.targets.shape == want.targets.shape
+        assert got.targets.tobytes() == want.targets.tobytes()
+        assert json.dumps(got.meta) == json.dumps(want.meta)
+
+
+def test_nk_datasets_validation():
+    with pytest.raises(ParameterError):
+        nk_datasets(5, 5, 1, [(3, 1)])
+    with pytest.raises(ParameterError):
+        nk_datasets(1, 1, 1, [(3, 1)])
+    with pytest.raises(ParameterError):
+        nk_datasets(5, 2, 1, [(3, 1)], "ring")
+    with pytest.raises(ParameterError):
+        nk_datasets(5, 2, 1, [(3, 1), (0, 2)])
+
+
+def test_nk_datasets_checks_each_streamed_row(monkeypatch):
+    real_rng = np.random.default_rng
+
+    class OutOfRangeTables:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            return self._rng.integers(*args, **kwargs)
+
+        def random(self, out):
+            out[:] = 1.5
+
+    monkeypatch.setattr(nkland.np.random, "default_rng", OutOfRangeTables)
+    with pytest.raises(ParameterError, match=r"\[0.0, 1.0\]"):
+        nk_datasets(6, 2, 1, [(4, 2)], "adjacent")
+
+
+def test_nk_datasets_memory_stays_below_the_tables():
+    tracemalloc.start()
+    try:
+        nk_datasets(1000, 15, 9, [(1000, 10), (1000, 11)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the (1000, 2**16) tables alone are 500 MiB
+
+
+# --- dataset file validation -----------------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b,y\n1,-1,0.5\n", "header"),
+    ("x1,x2\n1,0.5\n", "header"),
+    ("x1,x2,y\n1,-1\n", "expected 3 cells"),
+    ("x1,x2,y\n1,-1,0.5,0.1\n", "expected 3 cells"),
+    ("x1,x2,y\n1,abc,0.5\n", "numeric"),
+    ("x1,x2,y\n1,7,0.5\n", "-1 or 1"),
+    ("x1,x2,y\n1,nan,0.5\n", "-1 or 1"),
+    ("x1,x2,y\n1,-1,inf\n", "finite"),
+    ("x1,x2,y\n", "no examples"),
+])
+def test_load_dataset_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParameterError, match=message):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_malformed_meta(tmp_path):
+    ds = gen_dataset(nk_new(4, 2, seed=3), 5, seed=4)
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    (tmp_path / "data.meta.json").write_text("{", encoding="utf-8")
+    with pytest.raises(ParameterError):
+        load_dataset(path)
