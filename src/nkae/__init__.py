@@ -17,11 +17,8 @@ from .landscape import (
     save_landscape,
 )
 from .networks import (
-    AnnNetwork,
     Coord,
-    MlpCore,
-    NanNetwork,
-    NnNetwork,
+    Network,
     ae_mse,
     decode_layer,
     decode_neuron,
@@ -32,7 +29,6 @@ from .networks import (
     load_network,
     nan_mean_ae_mse,
     neuron_ae_mse,
-    param_count,
     save_network,
     sigmoid,
     task_mse,

@@ -73,8 +73,6 @@ def _add_train_flags(parser, include_arch=True):
                         help="give decoder nodes biases (default: off)")
     parser.add_argument("--eval-interval", type=int, default=100,
                         help="snapshot period in cycles (default: %(default)s)")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="evaluate objectives from scratch every cycle")
 
 
 def _train_config(args, seed) -> hillclimb.TrainConfig:
@@ -87,7 +85,6 @@ def _train_config(args, seed) -> hillclimb.TrainConfig:
         decoder_activation=args.decoder_activation,
         decoder_bias=args.decoder_bias,
         eval_interval=args.eval_interval,
-        incremental=not args.no_incremental,
     )
 
 
@@ -101,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="gene count (>= 2)")
     p.add_argument("--k", type=int, required=True, help="epistasis degree (1..min(15, n-1))")
     p.add_argument("--seed", type=int, default=None, help="64-bit seed (printed if omitted)")
-    p.add_argument("--neighbors", default="random", choices=("random", "adjacent"),
+    p.add_argument("--neighbors", default="random", choices=nkland.NEIGHBOR_MODES,
                    help="epistatic partner scheme (default: %(default)s)")
     p.add_argument("--out", required=True, help="output JSON path")
 
@@ -122,7 +119,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-data", help="test CSV (otherwise sampled)")
     p.add_argument("--n", type=int, help="gene count when generating data")
     p.add_argument("--k", type=int, help="epistasis degree when generating data")
-    p.add_argument("--neighbors", default="random", choices=("random", "adjacent"))
+    p.add_argument("--neighbors", default="random", choices=nkland.NEIGHBOR_MODES)
     p.add_argument("--train-count", type=int, default=1000,
                    help="generated training examples (default: %(default)s)")
     p.add_argument("--test-count", type=int, default=1000,
@@ -147,7 +144,7 @@ def build_parser() -> _Parser:
                    help="training examples per cell (default: %(default)s)")
     p.add_argument("--test-count", type=int, default=1000,
                    help="test examples per cell (default: %(default)s)")
-    p.add_argument("--neighbors", default="random", choices=("random", "adjacent"))
+    p.add_argument("--neighbors", default="random", choices=nkland.NEIGHBOR_MODES)
     p.add_argument("--fresh-data-per-run", action="store_true",
                    help="sample a new dataset pair for every run instead of per cell")
     p.add_argument("--workers", type=int, default=1,

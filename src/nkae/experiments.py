@@ -84,6 +84,7 @@ class ExperimentConfig:
             )
         if self.master_seed < 0:
             raise ParameterError(f"master seed must be >= 0, got {self.master_seed}")
+        nkland.check_neighbor_mode(self.neighbor_mode)
         for arch in self.archs:
             if arch not in nets.ARCHS:
                 raise ParameterError(f"unknown architecture {arch!r}")

@@ -31,9 +31,8 @@ from .errors import ParameterError
 from .incremental import EvalCache
 from .landscape import Dataset
 from . import networks as nets
-from .networks import Coord, parse_coord
+from .networks import TASK_LAYERS, Coord, parse_coord
 
-TASK_LAYERS = ("output_w", "output_bias")
 KIND_AUTOENCODE = "autoencode"
 KIND_TASK = "task"
 
@@ -50,7 +49,6 @@ class TrainConfig:
     decoder_activation: str = "sigmoid"
     decoder_bias: bool = False
     eval_interval: int = 100
-    incremental: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -103,69 +101,53 @@ class RunLog:
     final_ae_mse: float | None = None
 
 
-def choose_cycle(rng: np.random.Generator, config: TrainConfig, arch: str | None = None) -> str:
+def choose_cycle(rng: np.random.Generator, config: TrainConfig) -> str:
     """Autoencode with probability p_autoencode, else task (one draw)."""
     return KIND_AUTOENCODE if rng.random() < config.p_autoencode else KIND_TASK
 
 
 def pick_coordinate(network, kind: str, rng: np.random.Generator) -> Coord:
-    """Uniform draw over the cycle kind's coordinate pool."""
+    """Uniform draw over the cycle kind's coordinate pool.
+
+    The autoencode pool is the flat indices [0, task_start), the task pool
+    the rest; see `networks` for the layout.
+    """
+    start = network.task_start
     if kind == KIND_TASK:
-        return nets.task_coord(network, int(rng.integers(nets.task_coord_count(network))))
+        return network.coord(start + int(rng.integers(network.params.size - start)))
     if kind == KIND_AUTOENCODE:
-        return nets.autoencode_coord(
-            network, int(rng.integers(nets.autoencode_coord_count(network)))
-        )
+        return network.coord(int(rng.integers(start)))
     raise ParameterError(f"unknown cycle kind {kind!r}")
 
 
-def _naive_objective(network, coord, dataset):
-    if coord.layer in TASK_LAYERS or network.arch == "nn":
-        return nets.task_mse(network, dataset)
-    if network.arch == "nan":
-        return nets.neuron_ae_mse(network, coord.row, dataset)
-    return nets.layer_ae_mse(network, dataset)
-
-
 def propose_and_test(
-    network,
+    cache: EvalCache,
     coord: Coord,
-    train_set: Dataset,
     rng: np.random.Generator,
     config: TrainConfig,
     *,
-    cache: EvalCache | None = None,
     iteration: int = 0,
 ) -> tuple[bool, CycleRecord]:
-    """Mutate one coordinate by a uniform delta; keep it only if not worse.
+    """Mutate one coordinate of `cache.net` by a uniform delta; keep it only if not worse.
 
     Accepts iff the cycle objective strictly improves; exact ties accept
-    with probability 0.5 (one extra draw); otherwise the incumbent is
-    restored bit-for-bit.
+    with probability 0.5 (one extra draw); otherwise the proposal is
+    dropped and the incumbent is untouched.
     """
     delta = float(rng.uniform(-config.r, config.r))
     kind = KIND_TASK if coord.layer in TASK_LAYERS else KIND_AUTOENCODE
-    if cache is not None:
-        before = cache.objective_for(coord)
-        after = cache.propose(coord, delta)
-    else:
-        before = _naive_objective(network, coord, train_set)
-        old = nets.get_coord(network, coord)
-        nets.set_coord(network, coord, old + delta)
-        after = _naive_objective(network, coord, train_set)
+    before = cache.objective_for(coord)
+    after = cache.propose(coord, delta)
     if after < before:
         accepted = True
     elif after == before:
         accepted = bool(rng.random() < 0.5)
     else:
         accepted = False
-    if cache is not None:
-        if accepted:
-            cache.accept()
-        else:
-            cache.reject()
-    elif not accepted:
-        nets.set_coord(network, coord, old)
+    if accepted:
+        cache.accept()
+    else:
+        cache.reject()
     return accepted, CycleRecord(iteration, kind, coord, delta, before, after, accepted)
 
 
@@ -186,9 +168,9 @@ def train(
 ) -> tuple[object, RunLog]:
     """Run the full hill climb; returns the incumbent network and its log.
 
-    Snapshot MSEs are recomputed from scratch every `eval_interval` cycles
-    (they double as a cache audit); per-cycle objectives come from the
-    incremental cache unless `config.incremental` is off.
+    Per-cycle objectives come from the incremental `EvalCache`. Snapshot
+    MSEs are recomputed from scratch by the `networks` evaluators every
+    `eval_interval` cycles; nothing compares them with the cache.
     """
     if arch not in nets.ARCHS:
         raise ParameterError(f"arch must be one of {nets.ARCHS}, got {arch!r}")
@@ -200,15 +182,13 @@ def train(
         )
     rng = np.random.default_rng(config.seed)
     network = nets.init_network(arch, train_set.n, config, rng)
-    cache = EvalCache(network, train_set) if config.incremental else None
+    cache = EvalCache(network, train_set)
     log = RunLog(arch, config)
     records = log.records
     for iteration in range(1, config.iterations + 1):
-        kind = choose_cycle(rng, config, arch)
+        kind = choose_cycle(rng, config)
         coord = pick_coordinate(network, kind, rng)
-        _, record = propose_and_test(
-            network, coord, train_set, rng, config, cache=cache, iteration=iteration
-        )
+        _, record = propose_and_test(cache, coord, rng, config, iteration=iteration)
         records.append(record)
         if iteration % config.eval_interval == 0:
             log.snapshots.append(_snapshot(network, train_set, test_set, iteration))

@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from . import networks as nets
-from .networks import Coord
-
-TASK_LAYERS = ("output_w", "output_bias")
+from .networks import TASK_LAYERS, Coord
 
 
 class EvalCache:
@@ -62,9 +60,9 @@ class EvalCache:
                 self.comp_sums[j] = self._nan_row_sums(j, self.h_act[:, j])
             self.neuron_mse = self.comp_sums.sum(axis=1) / (self.m * self.n)
         elif net.arch == "ann":
-            self.dec_pre = self.h_act @ net.layer_decoder.T
-            if net.layer_decoder_bias is not None:
-                self.dec_pre += net.layer_decoder_bias
+            self.dec_pre = self.h_act @ net.decoder.T
+            if net.decoder_bias is not None:
+                self.dec_pre += net.decoder_bias
             self.comp_sums = self._ann_col_sums(self.dec_pre)
             self.layer_mse = float(self.comp_sums.sum()) / (self.m * self.n)
 
@@ -92,9 +90,6 @@ class EvalCache:
         np.multiply(buf, buf, out=buf)
         return buf.sum(axis=0)
 
-    def _nan_owner(self, coord):
-        return coord.row
-
     # -- public API ------------------------------------------------------------
 
     def objective_for(self, coord: Coord) -> float:
@@ -102,7 +97,7 @@ class EvalCache:
         if coord.layer in TASK_LAYERS or self.net.arch == "nn":
             return self.task_mse
         if self.net.arch == "nan":
-            return float(self.neuron_mse[self._nan_owner(coord)])
+            return float(self.neuron_mse[coord.row])
         return self.layer_mse
 
     def propose(self, coord: Coord, delta: float) -> float:
@@ -110,6 +105,7 @@ class EvalCache:
         if self._pending is not None:
             raise ParameterError("a proposal is already pending")
         net = self.net
+        flat = net.index(coord)
         layer, r, c = coord
         if layer in TASK_LAYERS:
             if layer == "output_w":
@@ -118,7 +114,7 @@ class EvalCache:
             else:
                 np.add(self.out_pre, delta, out=self._c3)
             cand = self._task_from(self._c3)
-            self._pending = ("output", coord, delta, cand)
+            self._pending = ("output", coord, flat, delta, cand)
             return cand
 
         if layer in ("encoder", "hidden_bias"):
@@ -134,23 +130,23 @@ class EvalCache:
                 self._c3 *= net.output_w[j]
                 self._c3 += self.out_pre
                 cand = self._task_from(self._c3)
-                self._pending = ("nn_hidden", coord, delta, cand)
+                self._pending = ("nn_hidden", coord, flat, delta, cand)
                 return cand
             if net.arch == "nan":
                 row = self._nan_row_sums(j, self._c2)
                 cand = float(row.sum()) / (self.m * self.n)
-                self._pending = ("nan_hidden", coord, delta, cand, row)
+                self._pending = ("nan_hidden", coord, flat, delta, cand, row)
                 return cand
             # ann: shift every decoder pre-activation through hidden node j
             np.subtract(self._c2, self.h_act[:, j], out=self._c3)
-            np.multiply.outer(self._c3, net.layer_decoder[:, j], out=self._dec_buf)
+            np.multiply.outer(self._c3, net.decoder[:, j], out=self._dec_buf)
             self._dec_buf += self.dec_pre
             sums = self._ann_col_sums(self._dec_buf)
             cand = float(sums.sum()) / (self.m * self.n)
-            self._pending = ("ann_hidden", coord, delta, cand, sums)
+            self._pending = ("ann_hidden", coord, flat, delta, cand, sums)
             return cand
 
-        if net.arch == "nan" and layer in ("decoder", "decoder_bias"):
+        if net.arch == "nan":
             j, i = r, c
             if layer == "decoder":
                 np.multiply(self.h_act[:, j], net.decoder[j, i] + delta, out=self._c1)
@@ -165,34 +161,32 @@ class EvalCache:
             s_new = float(col.sum())
             total = float(self.comp_sums[j].sum()) - float(self.comp_sums[j, i]) + s_new
             cand = total / (self.m * self.n)
-            self._pending = ("nan_decoder", coord, delta, cand, s_new)
+            self._pending = ("nan_decoder", coord, flat, delta, cand, s_new)
             return cand
 
-        if net.arch == "ann" and layer in ("decoder", "decoder_bias"):
-            i = r
-            if layer == "decoder":
-                np.multiply(self.h_act[:, c], delta, out=self._c1)
-                self._c1 += self.dec_pre[:, i]
-            else:
-                np.add(self.dec_pre[:, i], delta, out=self._c1)
-            col = nets._dec_act_vec(self.net.decoder_activation, self._c1, out=self._c2)
-            col -= self.X[:, i]
-            np.multiply(col, col, out=col)
-            s_new = float(col.sum())
-            total = float(self.comp_sums.sum()) - float(self.comp_sums[i]) + s_new
-            cand = total / (self.m * self.n)
-            self._pending = ("ann_decoder", coord, delta, cand, s_new)
-            return cand
-
-        raise ParameterError(f"coordinate {coord} is not valid for arch {net.arch!r}")
+        # ann decoder or decoder bias: `net.index` has ruled out the rest
+        i = r
+        if layer == "decoder":
+            np.multiply(self.h_act[:, c], delta, out=self._c1)
+            self._c1 += self.dec_pre[:, i]
+        else:
+            np.add(self.dec_pre[:, i], delta, out=self._c1)
+        col = nets._dec_act_vec(self.net.decoder_activation, self._c1, out=self._c2)
+        col -= self.X[:, i]
+        np.multiply(col, col, out=col)
+        s_new = float(col.sum())
+        total = float(self.comp_sums.sum()) - float(self.comp_sums[i]) + s_new
+        cand = total / (self.m * self.n)
+        self._pending = ("ann_decoder", coord, flat, delta, cand, s_new)
+        return cand
 
     def accept(self) -> None:
         """Apply the pending mutation to the network and commit staged state."""
         if self._pending is None:
             raise ParameterError("no proposal is pending")
-        kind, coord, delta, cand = self._pending[:4]
+        kind, coord, flat, delta, cand = self._pending[:5]
         net = self.net
-        nets.set_coord(net, coord, nets.get_coord(net, coord) + delta)
+        net.params[flat] += delta
 
         if kind == "output":
             self.out_pre, self._c3 = self._c3, self.out_pre
@@ -205,7 +199,7 @@ class EvalCache:
             self.task_mse = cand
         elif kind == "nan_hidden":
             j = coord.row
-            row = self._pending[4]
+            row = self._pending[5]
             np.subtract(self._c2, self.h_act[:, j], out=self._c3)
             self._c3 *= net.output_w[j]
             self.out_pre += self._c3
@@ -216,7 +210,7 @@ class EvalCache:
             self.task_mse = self._task_from(self.out_pre)
         elif kind == "ann_hidden":
             j = coord.row
-            sums = self._pending[4]
+            sums = self._pending[5]
             self.h_pre[:, j] = self._c1
             self.h_act[:, j] = self._c2
             # _c3 still holds the activation shift from propose()
@@ -228,12 +222,12 @@ class EvalCache:
             self.task_mse = self._task_from(self.out_pre)
         elif kind == "nan_decoder":
             j, i = coord.row, coord.col
-            self.comp_sums[j, i] = self._pending[4]
+            self.comp_sums[j, i] = self._pending[5]
             self.neuron_mse[j] = cand
         elif kind == "ann_decoder":
             i = coord.row
             self.dec_pre[:, i] = self._c1
-            self.comp_sums[i] = self._pending[4]
+            self.comp_sums[i] = self._pending[5]
             self.layer_mse = cand
         self._pending = None
 

@@ -20,6 +20,14 @@ import numpy as np
 from .errors import ParameterError
 
 MAX_K = 15
+NEIGHBOR_MODES = ("random", "adjacent")
+
+
+def check_neighbor_mode(neighbor_mode):
+    if neighbor_mode not in NEIGHBOR_MODES:
+        raise ParameterError(
+            f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {neighbor_mode!r}"
+        )
 
 
 def _check_size(n, k):
@@ -109,8 +117,7 @@ class Dataset:
 def _draw_neighbors(rng, n, k, neighbor_mode):
     """Gene by gene: uniform without replacement, or the next k indices cyclically."""
     _check_size(n, k)
-    if neighbor_mode not in ("random", "adjacent"):
-        raise ParameterError(f"neighbor_mode must be 'random' or 'adjacent', got {neighbor_mode!r}")
+    check_neighbor_mode(neighbor_mode)
     neighbors = np.empty((n, k), dtype=np.int64)
     if neighbor_mode == "adjacent":
         for i in range(n):

@@ -12,13 +12,26 @@ they reconstruct the inputs:
 Pre-activations are clamped to [-500, 500] before exponentiation so that
 mutation-inflated weights can never overflow. Decoder nodes default to
 sigmoid activation with no bias; both are configurable.
+
+A network is one float64 vector, ``Network.params``, laid out block by
+block as [encoder | hidden_bias | decoder | decoder_bias | output_w |
+output_bias]; ``layout`` gives each block's offset and shape, and the
+blocks a network lacks (nn's decoder, disabled decoder biases) take no
+room. Each block is also a named view into the vector, in the shape of
+``Coord``: encoder (H, N); hidden_bias and output_w (H,); output_bias a
+0-d view; decoder and decoder_bias (H, N) for nan, where row j is neuron
+j's decoder, and (N, H) and (N,) for ann, where row i is decoder node i.
+The flat index of ``Coord(layer, row, col)`` is the block offset plus
+``row * cols + col``, with cols the block's second dimension (1 for
+vectors and the scalar). Everything before ``output_w`` is attached to
+the hidden layer, so autoencode pool index u is flat index u and task
+pool index u is flat index ``task_start + u``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +42,8 @@ from .landscape import Dataset
 
 ARCHS = ("nan", "ann", "nn")
 DECODER_ACTIVATIONS = ("sigmoid", "tanh", "linear")
+# The output node's blocks: the task pool. Every other block is autoencoded.
+TASK_LAYERS = ("output_w", "output_bias")
 
 CLAMP = 500.0
 
@@ -54,14 +69,6 @@ def sigmoid_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _dec_act_scalar(name, x):
-    if name == "sigmoid":
-        return sigmoid(x)
-    if name == "tanh":
-        return math.tanh(x)
-    return x
-
-
 def _dec_act_vec(name, x, out=None):
     if name == "sigmoid":
         return sigmoid_vec(x, out=out)
@@ -73,162 +80,125 @@ def _dec_act_vec(name, x, out=None):
     return x
 
 
-@dataclass
-class MlpCore:
-    """Encoder weights plus the single supervised output node."""
+# --- parameters and their coordinates ------------------------------------------
+#
+# A coordinate is (layer, row, col). Scalars use row=col=0; vectors use col=0.
 
-    encoder: np.ndarray       # (h, n)
-    hidden_bias: np.ndarray   # (h,)
-    output_w: np.ndarray      # (h,)
-    output_bias: float
+class Coord(NamedTuple):
+    layer: str
+    row: int
+    col: int
 
-    @property
-    def h(self):
-        return self.encoder.shape[0]
-
-    @property
-    def n(self):
-        return self.encoder.shape[1]
-
-    def copy(self):
-        return MlpCore(
-            self.encoder.copy(),
-            self.hidden_bias.copy(),
-            self.output_w.copy(),
-            float(self.output_bias),
-        )
+    def __str__(self):
+        return f"{self.layer}:{self.row}:{self.col}"
 
 
-class _NetworkBase:
-    arch = ""
-
-    def __init__(self, core: MlpCore):
-        self.core = core
-
-    @property
-    def n(self):
-        return self.core.n
-
-    @property
-    def h(self):
-        return self.core.h
-
-    @property
-    def encoder(self):
-        return self.core.encoder
-
-    @property
-    def hidden_bias(self):
-        return self.core.hidden_bias
-
-    @property
-    def output_w(self):
-        return self.core.output_w
-
-    @property
-    def output_bias(self):
-        return self.core.output_bias
-
-    @output_bias.setter
-    def output_bias(self, value):
-        self.core.output_bias = value
+def parse_coord(text: str) -> Coord:
+    layer, row, col = text.split(":")
+    return Coord(layer, int(row), int(col))
 
 
-class NnNetwork(_NetworkBase):
-    """Plain feedforward baseline with no reconstruction objective."""
+def layout(arch: str, n: int, h: int, decoder_bias: bool = False) -> dict:
+    """Block name -> (offset, shape) in the flat parameter vector, in order."""
+    blocks = [("encoder", (h, n)), ("hidden_bias", (h,))]
+    if arch == "nan":
+        blocks.append(("decoder", (h, n)))
+        if decoder_bias:
+            blocks.append(("decoder_bias", (h, n)))
+    elif arch == "ann":
+        blocks.append(("decoder", (n, h)))
+        if decoder_bias:
+            blocks.append(("decoder_bias", (n,)))
+    blocks += [("output_w", (h,)), ("output_bias", ())]
+    table, offset = {}, 0
+    for name, shape in blocks:
+        table[name] = (offset, shape)
+        offset += math.prod(shape)
+    return table
 
-    arch = "nn"
 
-    def copy(self):
-        return NnNetwork(self.core.copy())
+def _view(name):
+    def get(self):
+        return self._views.get(name)
+
+    def set(self, value):
+        self._views[name][...] = value
+
+    return property(get, set, doc=f"The {name} block of `params` (None when absent).")
 
 
-class NanNetwork(_NetworkBase):
-    """Network whose hidden neurons each own an N-weight decoder.
+class Network:
+    """One network of any arch: its parameters in one flat float64 vector.
 
-    decoder[j][i] is the single weight from neuron j's activation to its
-    reconstruction of input i.
+    Assigning to a block (``net.output_bias = 0.5``) writes into `params`.
     """
 
-    arch = "nan"
+    encoder = _view("encoder")
+    hidden_bias = _view("hidden_bias")
+    decoder = _view("decoder")
+    decoder_bias = _view("decoder_bias")
+    output_w = _view("output_w")
+    output_bias = _view("output_bias")
 
-    def __init__(self, core, decoder, decoder_bias=None, decoder_activation="sigmoid"):
-        super().__init__(core)
-        self.decoder = np.asarray(decoder, dtype=np.float64)      # (h, n)
-        self.decoder_bias = decoder_bias                          # (h, n) or None
+    def __init__(self, arch, n, h, *, decoder_bias=False, decoder_activation="sigmoid"):
+        if arch not in ARCHS:
+            raise ParameterError(f"arch must be one of {ARCHS}, got {arch!r}")
+        if n < 1 or h < 1:
+            raise ParameterError(f"n and h must be >= 1, got n={n}, h={h}")
+        self.arch = arch
+        self.n = n
+        self.h = h
         self.decoder_activation = decoder_activation
-        if self.decoder.shape != (self.h, self.n):
-            raise ParameterError(f"decoder must have shape ({self.h}, {self.n})")
-        if decoder_bias is not None and np.shape(decoder_bias) != (self.h, self.n):
-            raise ParameterError(f"decoder_bias must have shape ({self.h}, {self.n})")
+        self.layout = layout(arch, n, h, decoder_bias)
+        self.task_start = self.layout["output_w"][0]
+        self.params = np.zeros(self.task_start + h + 1)
+        self._views = {}
+        self._blocks = []   # (layer, offset, end, cols) in flat order
+        for name, (offset, shape) in self.layout.items():
+            end = offset + math.prod(shape)
+            self._views[name] = self.params[offset:end].reshape(shape)
+            self._blocks.append((name, offset, end, (shape + (1, 1))[1]))
 
-    def copy(self):
-        return NanNetwork(
-            self.core.copy(),
-            self.decoder.copy(),
-            None if self.decoder_bias is None else self.decoder_bias.copy(),
-            self.decoder_activation,
-        )
+    def copy(self) -> Network:
+        twin = Network(self.arch, self.n, self.h, decoder_bias=self.decoder_bias is not None,
+                       decoder_activation=self.decoder_activation)
+        twin.params[:] = self.params
+        return twin
 
+    def index(self, coord: Coord) -> int:
+        """Flat index of a coordinate; ParameterError if this network lacks it."""
+        layer, row, col = coord
+        if layer not in self.layout:
+            raise ParameterError(f"coordinate {coord} is not valid for arch {self.arch!r}")
+        offset, shape = self.layout[layer]
+        rows, cols = (shape + (1, 1))[:2]
+        if not (0 <= row < rows and 0 <= col < cols):
+            raise ParameterError(f"coordinate {coord} is out of range for shape {shape}")
+        return offset + row * cols + col
 
-class AnnNetwork(_NetworkBase):
-    """Network with one conventional decoder layer over the hidden layer.
-
-    layer_decoder[i][j] is the weight from hidden node j to decoder node i.
-    """
-
-    arch = "ann"
-
-    def __init__(self, core, layer_decoder, layer_decoder_bias=None, decoder_activation="sigmoid"):
-        super().__init__(core)
-        self.layer_decoder = np.asarray(layer_decoder, dtype=np.float64)  # (n, h)
-        self.layer_decoder_bias = layer_decoder_bias                      # (n,) or None
-        self.decoder_activation = decoder_activation
-        if self.layer_decoder.shape != (self.n, self.h):
-            raise ParameterError(f"layer_decoder must have shape ({self.n}, {self.h})")
-        if layer_decoder_bias is not None and np.shape(layer_decoder_bias) != (self.n,):
-            raise ParameterError(f"layer_decoder_bias must have shape ({self.n},)")
-
-    def copy(self):
-        return AnnNetwork(
-            self.core.copy(),
-            self.layer_decoder.copy(),
-            None if self.layer_decoder_bias is None else self.layer_decoder_bias.copy(),
-            self.decoder_activation,
-        )
-
-
-Network = NnNetwork | NanNetwork | AnnNetwork
+    def coord(self, u: int) -> Coord:
+        """The coordinate at flat index u."""
+        for layer, offset, end, cols in self._blocks:
+            if u < end:
+                row, col = divmod(u - offset, cols)
+                return Coord(layer, row, col)
+        raise ParameterError(f"flat index {u} out of range for {self.params.size} parameters")
 
 
 def init_network(arch: str, n: int, config, rng: np.random.Generator) -> Network:
     """Seed a fresh network with every parameter uniform in [-1, 1].
 
-    Draw order: encoder row-major, hidden biases, output weights, output
-    bias, then decoder weights row-major (and decoder biases when enabled).
+    Draw order, each block row-major: encoder, hidden biases, output
+    weights, output bias, then decoder weights (and decoder biases when
+    enabled). This is not the flat order of `params`.
     """
-    if arch not in ARCHS:
-        raise ParameterError(f"arch must be one of {ARCHS}, got {arch!r}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    h = config.h
-    if h < 1:
-        raise ParameterError(f"h must be >= 1, got {h}")
-    core = MlpCore(
-        rng.uniform(-1.0, 1.0, size=(h, n)),
-        rng.uniform(-1.0, 1.0, size=h),
-        rng.uniform(-1.0, 1.0, size=h),
-        float(rng.uniform(-1.0, 1.0)),
-    )
-    if arch == "nn":
-        return NnNetwork(core)
-    if arch == "nan":
-        decoder = rng.uniform(-1.0, 1.0, size=(h, n))
-        bias = rng.uniform(-1.0, 1.0, size=(h, n)) if config.decoder_bias else None
-        return NanNetwork(core, decoder, bias, config.decoder_activation)
-    decoder = rng.uniform(-1.0, 1.0, size=(n, h))
-    bias = rng.uniform(-1.0, 1.0, size=n) if config.decoder_bias else None
-    return AnnNetwork(core, decoder, bias, config.decoder_activation)
+    net = Network(arch, n, config.h, decoder_bias=config.decoder_bias,
+                  decoder_activation=config.decoder_activation)
+    for name in ("encoder", "hidden_bias", "output_w", "output_bias", "decoder", "decoder_bias"):
+        view = getattr(net, name)
+        if view is not None:
+            view[...] = rng.uniform(-1.0, 1.0, size=view.shape)
+    return net
 
 
 def _check_input(network, x):
@@ -254,7 +224,7 @@ def forward(network: Network, x) -> float:
     return sigmoid(float(network.output_bias + network.output_w @ act))
 
 
-def decode_neuron(nan: NanNetwork, j: int, activation: float) -> np.ndarray:
+def decode_neuron(nan: Network, j: int, activation: float) -> np.ndarray:
     """Neuron j's reconstruction of all N inputs from one activation value."""
     if not 0 <= j < nan.h:
         raise ParameterError(f"hidden index must lie in [0, {nan.h}), got {j}")
@@ -264,14 +234,14 @@ def decode_neuron(nan: NanNetwork, j: int, activation: float) -> np.ndarray:
     return _dec_act_vec(nan.decoder_activation, pre)
 
 
-def decode_layer(ann: AnnNetwork, hidden) -> np.ndarray:
+def decode_layer(ann: Network, hidden) -> np.ndarray:
     """Decoder-layer reconstruction of all N inputs from the hidden vector."""
     hidden = np.asarray(hidden, dtype=np.float64)
     if hidden.shape != (ann.h,):
         raise ParameterError(f"hidden vector must have length {ann.h}, got shape {hidden.shape}")
-    pre = ann.layer_decoder @ hidden
-    if ann.layer_decoder_bias is not None:
-        pre = pre + ann.layer_decoder_bias
+    pre = ann.decoder @ hidden
+    if ann.decoder_bias is not None:
+        pre = pre + ann.decoder_bias
     return _dec_act_vec(ann.decoder_activation, pre)
 
 
@@ -301,7 +271,7 @@ def task_mse(network: Network, dataset: Dataset) -> float:
     return float(d @ d) / dataset.count
 
 
-def neuron_ae_mse(nan: NanNetwork, j: int, dataset: Dataset) -> float:
+def neuron_ae_mse(nan: Network, j: int, dataset: Dataset) -> float:
     """Neuron j's reconstruction MSE, averaged over examples and components."""
     if not 0 <= j < nan.h:
         raise ParameterError(f"hidden index must lie in [0, {nan.h}), got {j}")
@@ -317,7 +287,7 @@ def neuron_ae_mse(nan: NanNetwork, j: int, dataset: Dataset) -> float:
     return float(rec.sum()) / (dataset.count * nan.n)
 
 
-def nan_mean_ae_mse(nan: NanNetwork, dataset: Dataset) -> float:
+def nan_mean_ae_mse(nan: Network, dataset: Dataset) -> float:
     """Reconstruction MSE averaged over the H neurons (the logged series)."""
     total = 0.0
     for j in range(nan.h):
@@ -325,14 +295,14 @@ def nan_mean_ae_mse(nan: NanNetwork, dataset: Dataset) -> float:
     return total / nan.h
 
 
-def layer_ae_mse(ann: AnnNetwork, dataset: Dataset) -> float:
+def layer_ae_mse(ann: Network, dataset: Dataset) -> float:
     """Decoder-layer reconstruction MSE over examples and components."""
     _check_dataset(ann, dataset)
     X = dataset.inputs
     act = hidden_batch(ann, X)
-    pre = act @ ann.layer_decoder.T
-    if ann.layer_decoder_bias is not None:
-        pre += ann.layer_decoder_bias
+    pre = act @ ann.decoder.T
+    if ann.decoder_bias is not None:
+        pre += ann.decoder_bias
     rec = _dec_act_vec(ann.decoder_activation, pre, out=pre)
     rec -= X
     np.multiply(rec, rec, out=rec)
@@ -348,216 +318,54 @@ def ae_mse(network: Network, dataset: Dataset) -> float | None:
     return None
 
 
-def param_count(network: Network) -> int:
-    n, h = network.n, network.h
-    count = h * n + h + h + 1
-    if network.arch == "nan":
-        count += h * n + (h * n if network.decoder_bias is not None else 0)
-    elif network.arch == "ann":
-        count += n * h + (n if network.layer_decoder_bias is not None else 0)
-    return count
-
-
-# --- coordinate addressing -------------------------------------------------
-#
-# A coordinate is (layer, row, col). Scalars use row=col=0; vectors use col=0.
-# For nan decoders row is the owning neuron; for ann decoders row is the
-# decoder node (input index) and col the hidden node.
-
-class Coord(NamedTuple):
-    layer: str
-    row: int
-    col: int
-
-    def __str__(self):
-        return f"{self.layer}:{self.row}:{self.col}"
-
-
-def parse_coord(text: str) -> Coord:
-    layer, row, col = text.split(":")
-    return Coord(layer, int(row), int(col))
-
-
-def task_coord_count(network: Network) -> int:
-    return network.h + 1
-
-
-def autoencode_coord_count(network: Network) -> int:
-    n, h = network.n, network.h
-    count = h * n + h
-    if network.arch == "nan":
-        count += h * n + (h * n if network.decoder_bias is not None else 0)
-    elif network.arch == "ann":
-        count += n * h + (n if network.layer_decoder_bias is not None else 0)
-    return count
-
-
-def task_coord(network: Network, u: int) -> Coord:
-    """Map a uniform index to an output-node coordinate."""
-    if u < network.h:
-        return Coord("output_w", u, 0)
-    return Coord("output_bias", 0, 0)
-
-
-def autoencode_coord(network: Network, u: int) -> Coord:
-    """Map a uniform index to a hidden-layer-associated coordinate.
-
-    Block order: encoder row-major, hidden biases, decoder row-major,
-    decoder biases (when enabled).
-    """
-    n, h = network.n, network.h
-    if u < h * n:
-        return Coord("encoder", u // n, u % n)
-    u -= h * n
-    if u < h:
-        return Coord("hidden_bias", u, 0)
-    u -= h
-    if network.arch == "nan":
-        if u < h * n:
-            return Coord("decoder", u // n, u % n)
-        u -= h * n
-        return Coord("decoder_bias", u // n, u % n)
-    if network.arch == "ann":
-        if u < n * h:
-            return Coord("decoder", u // h, u % h)
-        u -= n * h
-        return Coord("decoder_bias", u, 0)
-    raise ParameterError(f"autoencode index {u} out of range for arch {network.arch!r}")
-
-
-def get_coord(network: Network, coord: Coord) -> float:
-    layer, r, c = coord
-    if layer == "encoder":
-        return float(network.encoder[r, c])
-    if layer == "hidden_bias":
-        return float(network.hidden_bias[r])
-    if layer == "output_w":
-        return float(network.output_w[r])
-    if layer == "output_bias":
-        return float(network.output_bias)
-    if layer == "decoder":
-        if network.arch == "nan":
-            return float(network.decoder[r, c])
-        return float(network.layer_decoder[r, c])
-    if layer == "decoder_bias":
-        if network.arch == "nan":
-            if network.decoder_bias is None:
-                raise ParameterError("network has no decoder biases")
-            return float(network.decoder_bias[r, c])
-        if network.layer_decoder_bias is None:
-            raise ParameterError("network has no decoder biases")
-        return float(network.layer_decoder_bias[r])
-    raise ParameterError(f"unknown coordinate layer {layer!r}")
-
-
-def set_coord(network: Network, coord: Coord, value: float) -> None:
-    layer, r, c = coord
-    if layer == "encoder":
-        network.encoder[r, c] = value
-    elif layer == "hidden_bias":
-        network.hidden_bias[r] = value
-    elif layer == "output_w":
-        network.output_w[r] = value
-    elif layer == "output_bias":
-        network.output_bias = value
-    elif layer == "decoder":
-        if network.arch == "nan":
-            network.decoder[r, c] = value
-        else:
-            network.layer_decoder[r, c] = value
-    elif layer == "decoder_bias":
-        if network.arch == "nan":
-            if network.decoder_bias is None:
-                raise ParameterError("network has no decoder biases")
-            network.decoder_bias[r, c] = value
-        else:
-            if network.layer_decoder_bias is None:
-                raise ParameterError("network has no decoder biases")
-            network.layer_decoder_bias[r] = value
-    else:
-        raise ParameterError(f"unknown coordinate layer {layer!r}")
-
-
-def networks_equal(a: Network, b: Network) -> bool:
-    """Bit-for-bit parameter equality (used by revert audits)."""
-    if a.arch != b.arch or a.n != b.n or a.h != b.h:
-        return False
-    same = (
-        np.array_equal(a.encoder, b.encoder)
-        and np.array_equal(a.hidden_bias, b.hidden_bias)
-        and np.array_equal(a.output_w, b.output_w)
-        and a.output_bias == b.output_bias
-    )
-    if not same:
-        return False
-    if a.arch == "nan":
-        if not np.array_equal(a.decoder, b.decoder):
-            return False
-        if (a.decoder_bias is None) != (b.decoder_bias is None):
-            return False
-        return a.decoder_bias is None or np.array_equal(a.decoder_bias, b.decoder_bias)
-    if a.arch == "ann":
-        if not np.array_equal(a.layer_decoder, b.layer_decoder):
-            return False
-        if (a.layer_decoder_bias is None) != (b.layer_decoder_bias is None):
-            return False
-        return a.layer_decoder_bias is None or np.array_equal(
-            a.layer_decoder_bias, b.layer_decoder_bias
-        )
-    return True
+def _json_key(arch, block):
+    """Snapshot key of a block: ann's decoder blocks keep their `layer_` names."""
+    return "layer_" + block if arch == "ann" and block.startswith("decoder") else block
 
 
 def save_network(network: Network, path) -> None:
     """JSON snapshot with full round-trip precision, enough to resume a run."""
-    payload = {
-        "arch": network.arch,
-        "n": network.n,
-        "h": network.h,
-        "encoder": network.encoder.tolist(),
-        "hidden_bias": network.hidden_bias.tolist(),
-        "output_w": network.output_w.tolist(),
-        "output_bias": float(network.output_bias),
-    }
-    if network.arch == "nan":
+    payload = {"arch": network.arch, "n": network.n, "h": network.h}
+    for name in ("encoder", "hidden_bias", "output_w"):
+        payload[name] = getattr(network, name).tolist()
+    payload["output_bias"] = float(network.output_bias)
+    if network.arch != "nn":
         payload["decoder_activation"] = network.decoder_activation
-        payload["decoder"] = network.decoder.tolist()
-        payload["decoder_bias"] = (
-            None if network.decoder_bias is None else network.decoder_bias.tolist()
-        )
-    elif network.arch == "ann":
-        payload["decoder_activation"] = network.decoder_activation
-        payload["layer_decoder"] = network.layer_decoder.tolist()
-        payload["layer_decoder_bias"] = (
-            None
-            if network.layer_decoder_bias is None
-            else network.layer_decoder_bias.tolist()
-        )
+        for name in ("decoder", "decoder_bias"):
+            view = getattr(network, name)
+            payload[_json_key(network.arch, name)] = None if view is None else view.tolist()
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_network(path) -> Network:
+    """Read a `save_network` snapshot, checking every block against the layout."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    core = MlpCore(
-        np.asarray(payload["encoder"], dtype=np.float64),
-        np.asarray(payload["hidden_bias"], dtype=np.float64),
-        np.asarray(payload["output_w"], dtype=np.float64),
-        float(payload["output_bias"]),
-    )
-    arch = payload["arch"]
-    if arch == "nn":
-        return NnNetwork(core)
-    if arch == "nan":
-        bias = payload["decoder_bias"]
-        return NanNetwork(
-            core,
-            np.asarray(payload["decoder"], dtype=np.float64),
-            None if bias is None else np.asarray(bias, dtype=np.float64),
-            payload["decoder_activation"],
-        )
-    bias = payload["layer_decoder_bias"]
-    return AnnNetwork(
-        core,
-        np.asarray(payload["layer_decoder"], dtype=np.float64),
-        None if bias is None else np.asarray(bias, dtype=np.float64),
-        payload["decoder_activation"],
-    )
+
+    def field(key):
+        if key not in payload:
+            raise ParameterError(f"{path}: network snapshot has no {key!r}")
+        return payload[key]
+
+    arch, n, h = field("arch"), field("n"), field("h")
+    if arch not in ARCHS:
+        raise ParameterError(f"{path}: arch must be one of {ARCHS}, got {arch!r}")
+    if type(n) is not int or type(h) is not int:
+        raise ParameterError(f"{path}: n and h must be integers, got {n!r} and {h!r}")
+    activation = "sigmoid"
+    bias = False
+    if arch != "nn":
+        activation = field("decoder_activation")
+        if activation not in DECODER_ACTIVATIONS:
+            raise ParameterError(f"{path}: unknown decoder_activation {activation!r}")
+        bias = field(_json_key(arch, "decoder_bias")) is not None
+    net = Network(arch, n, h, decoder_bias=bias, decoder_activation=activation)
+    for name, (offset, shape) in net.layout.items():
+        key = _json_key(arch, name)
+        try:
+            value = np.asarray(field(key), dtype=np.float64)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or value.shape != shape:
+            raise ParameterError(f"{path}: {key!r} must be numbers of shape {shape}")
+        getattr(net, name)[...] = value
+    return net

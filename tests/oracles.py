@@ -87,9 +87,9 @@ def oracle_layer_ae_mse(net, dataset):
         for i in range(net.n):
             pre = 0.0
             for j in range(net.h):
-                pre += float(net.layer_decoder[i, j]) * hidden[j]
-            if net.layer_decoder_bias is not None:
-                pre += float(net.layer_decoder_bias[i])
+                pre += float(net.decoder[i, j]) * hidden[j]
+            if net.decoder_bias is not None:
+                pre += float(net.decoder_bias[i])
             total += (_dec(net.decoder_activation, pre) - float(x[i])) ** 2
     return total / (dataset.count * net.n)
 
@@ -165,5 +165,10 @@ def replay_final_network(arch, n, config, records):
     net = nets.init_network(arch, n, config, rng)
     for rec in records:
         if rec.accepted:
-            nets.set_coord(net, rec.coord, nets.get_coord(net, rec.coord) + rec.delta)
+            net.params[net.index(rec.coord)] += rec.delta
     return net
+
+
+def same_network(a, b):
+    """Same arch and shape, and bit-for-bit equal parameters."""
+    return (a.arch, a.n, a.h) == (b.arch, b.n, b.h) and np.array_equal(a.params, b.params)

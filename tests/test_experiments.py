@@ -89,6 +89,13 @@ def test_nonpositive_example_counts_rejected(tmp_path, counts):
         ExperimentConfig(master_seed=1, out_dir=tmp_path, **counts)
 
 
+def test_unknown_neighbor_mode_rejected_before_any_output(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ParameterError, match="neighbor_mode"):
+        run_experiment(tiny_config(out, neighbor_mode="ring"))
+    assert not out.exists()
+
+
 # --- running sweeps ----------------------------------------------------------------------
 
 def test_single_arch_two_runs(tmp_path):

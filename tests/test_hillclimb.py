@@ -19,7 +19,7 @@ from nkae.hillclimb import (
     write_snapshot_log,
 )
 
-from oracles import monotonicity_violations, replay_final_network
+from oracles import monotonicity_violations, replay_final_network, same_network
 
 
 class StubRng:
@@ -103,8 +103,8 @@ def test_task_pool_is_output_node():
 
 def test_nan_autoencode_pool_size():
     net = init_network("nan", 20, TrainConfig(seed=0, h=10), np.random.default_rng(1))
-    assert nets.autoencode_coord_count(net) == 410
-    covered = {nets.autoencode_coord(net, u) for u in range(410)}
+    assert net.task_start == 410
+    covered = {net.coord(u) for u in range(410)}
     assert len(covered) == 410
     layers = Counter(c.layer for c in covered)
     assert layers == {"encoder": 200, "hidden_bias": 10, "decoder": 200}
@@ -114,7 +114,7 @@ def test_ann_autoencode_pool_size_with_bias():
     net = init_network(
         "ann", 6, TrainConfig(seed=0, h=4, decoder_bias=True), np.random.default_rng(1)
     )
-    assert nets.autoencode_coord_count(net) == 6 * 4 + 4 + 4 * 6 + 6
+    assert net.task_start == 6 * 4 + 4 + 4 * 6 + 6
 
 
 def test_pick_coordinate_empirical_uniformity():
@@ -134,25 +134,23 @@ def test_pick_coordinate_empirical_uniformity():
 
 # --- propose_and_test -------------------------------------------------------------------
 
-def monotone_setup(cache_mode):
+def monotone_setup():
     """One example, target 1, output weight 0: error is monotone in output_bias."""
     net = init_network("nn", 1, TrainConfig(seed=0, h=1), np.random.default_rng(3))
     net.output_w[0] = 0.0
     ds = Dataset(np.array([[1.0]]), np.array([1.0]))
-    cache = EvalCache(net, ds) if cache_mode else None
-    return net, ds, cache
+    return net, EvalCache(net, ds)
 
 
-@pytest.mark.parametrize("cache_mode", [False, True])
-def test_improving_mutation_accepted(cache_mode):
+def test_improving_mutation_accepted():
     seed = 4  # first uniform(-1, 1) draw is positive
     probe = np.random.default_rng(seed)
     delta = float(probe.uniform(-1.0, 1.0))
     assert delta > 0
-    net, ds, cache = monotone_setup(cache_mode)
+    net, cache = monotone_setup()
     coord = nets.Coord("output_bias", 0, 0)
     accepted, rec = propose_and_test(
-        net, coord, ds, np.random.default_rng(seed), TrainConfig(seed=0, h=1), cache=cache
+        cache, coord, np.random.default_rng(seed), TrainConfig(seed=0, h=1)
     )
     assert accepted and rec.accepted
     assert rec.delta == delta
@@ -160,44 +158,43 @@ def test_improving_mutation_accepted(cache_mode):
     assert net.output_bias == pytest.approx(rec.delta, abs=2.0)
 
 
-@pytest.mark.parametrize("cache_mode", [False, True])
-def test_worsening_mutation_reverted_exactly(cache_mode):
+def test_worsening_mutation_reverted_exactly():
     seed = 2  # first uniform(-1, 1) draw is negative
     probe = np.random.default_rng(seed)
     assert float(probe.uniform(-1.0, 1.0)) < 0
-    net, ds, cache = monotone_setup(cache_mode)
+    net, cache = monotone_setup()
     before = net.copy()
     coord = nets.Coord("output_bias", 0, 0)
     accepted, rec = propose_and_test(
-        net, coord, ds, np.random.default_rng(seed), TrainConfig(seed=0, h=1), cache=cache
+        cache, coord, np.random.default_rng(seed), TrainConfig(seed=0, h=1)
     )
     assert not accepted and not rec.accepted
     assert rec.objective_after > rec.objective_before
-    assert nets.networks_equal(net, before)
+    assert same_network(net, before)
 
 
 @pytest.mark.parametrize("tie_draw,expect", [(0.3, True), (0.7, False)])
 def test_zero_delta_tie_broken_at_random(tie_draw, expect):
-    net, ds, _ = monotone_setup(cache_mode=False)
+    net, cache = monotone_setup()
     before = net.copy()
     coord = nets.Coord("output_bias", 0, 0)
     accepted, rec = propose_and_test(
-        net, coord, ds, StubRng(0.0, [tie_draw]), TrainConfig(seed=0, h=1)
+        cache, coord, StubRng(0.0, [tie_draw]), TrainConfig(seed=0, h=1)
     )
     assert accepted is expect
     assert rec.delta == 0.0
     assert rec.objective_after == rec.objective_before
-    assert nets.networks_equal(net, before)  # delta 0 leaves values unchanged either way
+    assert same_network(net, before)  # delta 0 leaves values unchanged either way
 
 
 def test_kind_recorded_from_coordinate():
-    net, ds, _ = monotone_setup(cache_mode=False)
+    _, cache = monotone_setup()
     _, rec = propose_and_test(
-        net, nets.Coord("encoder", 0, 0), ds, np.random.default_rng(1), TrainConfig(seed=0, h=1)
+        cache, nets.Coord("encoder", 0, 0), np.random.default_rng(1), TrainConfig(seed=0, h=1)
     )
     assert rec.kind == "autoencode"
     _, rec = propose_and_test(
-        net, nets.Coord("output_w", 0, 0), ds, np.random.default_rng(1), TrainConfig(seed=0, h=1)
+        cache, nets.Coord("output_w", 0, 0), np.random.default_rng(1), TrainConfig(seed=0, h=1)
     )
     assert rec.kind == "task"
 
@@ -233,7 +230,7 @@ def test_train_deterministic_in_seed():
     config = TrainConfig(seed=9, iterations=300, h=3)
     net_a, log_a = train("ann", train_set, test_set, config)
     net_b, log_b = train("ann", train_set, test_set, config)
-    assert nets.networks_equal(net_a, net_b)
+    assert same_network(net_a, net_b)
     assert log_a.records == log_b.records
     assert log_a.snapshots == log_b.snapshots
 
@@ -243,19 +240,6 @@ def test_train_rejects_mismatched_sets():
     other, _ = make_cell(n=8)
     with pytest.raises(ParameterError):
         train("nn", train_set, other, TrainConfig(seed=0, h=2))
-
-
-def test_incremental_and_naive_modes_agree():
-    train_set, _ = make_cell(count=40)
-    fast = TrainConfig(seed=12, iterations=250, h=3, incremental=True)
-    slow = TrainConfig(seed=12, iterations=250, h=3, incremental=False)
-    for arch in ("nan", "ann", "nn"):
-        _, log_fast = train(arch, train_set, None, fast)
-        _, log_slow = train(arch, train_set, None, slow)
-        for a, b in zip(log_fast.records, log_slow.records):
-            assert a.accepted == b.accepted
-            assert a.coord == b.coord and a.delta == b.delta
-            assert abs(a.objective_after - b.objective_after) < 1e-12
 
 
 @pytest.mark.parametrize("arch", ["nn", "nan", "ann"])
@@ -272,7 +256,7 @@ def test_final_network_replays_from_accepted_deltas(arch):
     config = TrainConfig(seed=22, iterations=400, h=3)
     _, log = train(arch, train_set, None, config)
     replayed = replay_final_network(arch, train_set.n, config, log.records)
-    assert nets.networks_equal(replayed, log.final_network)
+    assert same_network(replayed, log.final_network)
 
 
 def test_final_snapshot_matches_final_network():

@@ -5,7 +5,7 @@ from nkae import Dataset, EvalCache, ParameterError, TrainConfig, init_network
 from nkae import networks as nets
 from nkae.hillclimb import pick_coordinate
 
-from oracles import oracle_objective
+from oracles import oracle_objective, same_network
 
 
 def make_dataset(n, count, seed):
@@ -51,16 +51,16 @@ def test_random_walk_stays_consistent(arch, decoder_bias):
 
         candidate = cache.propose(coord, delta)
         probe = net.copy()
-        nets.set_coord(probe, coord, nets.get_coord(probe, coord) + delta)
+        probe.params[probe.index(coord)] += delta
         assert abs(candidate - oracle_objective(probe, coord, ds)) < 1e-12
 
         if rng.random() < 0.5:
             cache.accept()
-            assert nets.get_coord(net, coord) == nets.get_coord(probe, coord)
+            assert net.params[net.index(coord)] == probe.params[probe.index(coord)]
         else:
             before = net.copy()
             cache.reject()
-            assert nets.networks_equal(net, before)
+            assert same_network(net, before)
 
         if step % 50 == 0:
             assert cache.scratch_divergence(ds) < 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,14 +17,16 @@ from nkae import (
     load_network,
     nan_mean_ae_mse,
     neuron_ae_mse,
-    param_count,
     save_network,
     sigmoid,
     task_mse,
 )
 from nkae import networks as nets
+from nkae.hillclimb import pick_coordinate
+from nkae.networks import Coord
 
 from oracles import (
+    same_network,
     oracle_forward,
     oracle_layer_ae_mse,
     oracle_neuron_ae_mse,
@@ -46,12 +49,99 @@ def make_net(arch, n=6, h=3, seed=1, **cfg_kwargs):
 
 # --- initialization -----------------------------------------------------------
 
+class FixedDraw:
+    """rng double whose integers() returns a fixed pool index."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def integers(self, high):
+        assert 0 <= self.u < high
+        return self.u
+
+
+def documented_pools(arch, n, h, decoder_bias):
+    """Autoencode and task pools in the documented order, built from the definitions."""
+    ae = [Coord("encoder", j, i) for j in range(h) for i in range(n)]
+    ae += [Coord("hidden_bias", j, 0) for j in range(h)]
+    if arch == "nan":
+        ae += [Coord("decoder", j, i) for j in range(h) for i in range(n)]
+        if decoder_bias:
+            ae += [Coord("decoder_bias", j, i) for j in range(h) for i in range(n)]
+    elif arch == "ann":
+        ae += [Coord("decoder", i, j) for i in range(n) for j in range(h)]
+        if decoder_bias:
+            ae += [Coord("decoder_bias", i, 0) for i in range(n)]
+    task = [Coord("output_w", j, 0) for j in range(h)] + [Coord("output_bias", 0, 0)]
+    return ae, task
+
+
+def documented_init_draws(arch, n, h, decoder_bias, rng):
+    """Initial blocks drawn one by one in init_network's documented order."""
+    draws = {
+        "encoder": rng.uniform(-1.0, 1.0, size=(h, n)),
+        "hidden_bias": rng.uniform(-1.0, 1.0, size=h),
+        "output_w": rng.uniform(-1.0, 1.0, size=h),
+        "output_bias": float(rng.uniform(-1.0, 1.0)),
+    }
+    if arch != "nn":
+        draws["decoder"] = rng.uniform(-1.0, 1.0, size=(h, n) if arch == "nan" else (n, h))
+        if decoder_bias:
+            draws["decoder_bias"] = rng.uniform(-1.0, 1.0, size=(h, n) if arch == "nan" else n)
+    return draws
+
+
+# (arch, decoder_bias) -> (autoencode pool size, parameter count) at n=20, h=10
+CLOSED_FORMS = {
+    ("nn", False): (210, 221), ("nn", True): (210, 221),
+    ("nan", False): (410, 421), ("nan", True): (610, 621),
+    ("ann", False): (410, 421), ("ann", True): (430, 441),
+}
+
+
 def test_parameter_counts_match_closed_forms():
-    assert param_count(make_net("nn", n=20, h=10)) == 221
-    assert param_count(make_net("nan", n=20, h=10)) == 421
-    assert param_count(make_net("ann", n=20, h=10)) == 421
-    assert param_count(make_net("nan", n=20, h=10, decoder_bias=True)) == 621
-    assert param_count(make_net("ann", n=20, h=10, decoder_bias=True)) == 441
+    for (arch, decoder_bias), sizes in CLOSED_FORMS.items():
+        check_flat_layout(arch, decoder_bias, sizes)
+
+
+def check_flat_layout(arch, decoder_bias, sizes, n=20, h=10):
+    net = make_net(arch, n=n, h=h, decoder_bias=decoder_bias)
+    ae, task = documented_pools(arch, n, h, decoder_bias and arch != "nn")
+    assert (net.task_start, net.params.size) == sizes
+    assert (len(ae), len(ae) + len(task)) == sizes
+
+    # Coord -> flat -> Coord round-trips; pool index u is flat u (autoencode)
+    # or task_start + u (task), both through pick_coordinate's draw.
+    for u in range(net.params.size):
+        assert net.index(net.coord(u)) == u
+    for u, coord in enumerate(ae):
+        assert pick_coordinate(net, "autoencode", FixedDraw(u)) == coord
+        assert net.index(coord) == u
+    for u, coord in enumerate(task):
+        assert pick_coordinate(net, "task", FixedDraw(u)) == coord
+        assert net.index(coord) == net.task_start + u
+
+    # init equals draws in the documented order, which is not the flat order
+    # (except for nn, which has no decoder)
+    draws = documented_init_draws(arch, n, h, decoder_bias, np.random.default_rng(1))
+    assert set(draws) == set(net.layout)
+    for name, values in draws.items():
+        assert np.array_equal(getattr(net, name), values)
+    drawn = np.concatenate([np.ravel(values) for values in draws.values()])
+    assert np.array_equal(net.params, drawn) == (arch == "nn")
+
+    # every named view aliases params: a write through any element, the
+    # scalar output bias included, lands at that coordinate's flat index
+    for u in range(net.params.size):
+        layer, row, col = net.coord(u)
+        view = getattr(net, layer)
+        assert np.shares_memory(view, net.params)
+        view[(row, col)[:view.ndim]] = -10.0 - u
+    assert np.array_equal(net.params, -10.0 - np.arange(net.params.size))
+    net.output_bias = 0.25
+    assert net.params[-1] == 0.25
+    assert (net.decoder is None) == (arch == "nn")
+    assert (net.decoder_bias is None) == (arch == "nn" or not decoder_bias)
 
 
 def test_init_weights_within_seeding_range():
@@ -64,8 +154,8 @@ def test_init_weights_within_seeding_range():
 def test_init_deterministic():
     a = make_net("ann", seed=9)
     b = make_net("ann", seed=9)
-    assert nets.networks_equal(a, b)
-    assert not nets.networks_equal(a, make_net("ann", seed=10))
+    assert same_network(a, b)
+    assert not same_network(a, make_net("ann", seed=10))
 
 
 def test_init_rejects_unknown_arch():
@@ -191,7 +281,7 @@ def test_decode_neuron_linear_and_bias():
 
 def test_decode_layer_zero_weights():
     net = make_net("ann", n=4, h=3)
-    net.layer_decoder[:] = 0.0
+    net.decoder[:] = 0.0
     hidden = np.array([0.2, 0.9, 0.5])
     assert np.all(decode_layer(net, hidden) == 0.5)
 
@@ -199,7 +289,7 @@ def test_decode_layer_zero_weights():
 def test_decode_layer_single_hidden_equals_decode_neuron():
     ann = make_net("ann", n=5, h=1, seed=14)
     nan = make_net("nan", n=5, h=1, seed=15)
-    nan.decoder[0] = ann.layer_decoder[:, 0]
+    nan.decoder[0] = ann.decoder[:, 0]
     for act in (0.1, 0.5, 0.93):
         assert np.array_equal(decode_layer(ann, [act]), decode_neuron(nan, 0, act))
 
@@ -209,7 +299,7 @@ def test_decode_layer_matches_dense_oracle():
     hidden = np.random.default_rng(7).random(4)
     expected = []
     for i in range(6):
-        pre = sum(float(net.layer_decoder[i, j]) * hidden[j] for j in range(4))
+        pre = sum(float(net.decoder[i, j]) * hidden[j] for j in range(4))
         expected.append(1.0 / (1.0 + math.exp(-pre)))
     assert np.allclose(decode_layer(net, hidden), expected, atol=1e-12, rtol=0)
 
@@ -274,7 +364,7 @@ def test_neuron_ae_mse_balanced_half_outputs():
 
 def test_layer_ae_mse_balanced_half_outputs():
     net = make_net("ann", n=2, h=3)
-    net.layer_decoder[:] = 0.0
+    net.decoder[:] = 0.0
     X = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert layer_ae_mse(net, Dataset(X, np.zeros(2))) == 1.25
 
@@ -331,7 +421,7 @@ def test_task_mse_ignores_decoder_weights():
     assert task_mse(net, ds) == before
     ann = make_net("ann", n=6, h=3, seed=52)
     before = task_mse(ann, ds)
-    ann.layer_decoder[:] -= 0.25
+    ann.decoder[:] -= 0.25
     assert task_mse(ann, ds) == before
 
 
@@ -359,6 +449,51 @@ def test_network_roundtrip_is_bit_exact(tmp_path, arch):
     path = tmp_path / "net.json"
     save_network(net, path)
     loaded = load_network(path)
-    assert nets.networks_equal(net, loaded)
+    assert same_network(net, loaded)
     if arch != "nn":
         assert loaded.decoder_activation == net.decoder_activation
+
+
+def write_snapshot(tmp_path, arch, edit):
+    """Save a small network with decoder biases, then edit its JSON payload."""
+    path = tmp_path / "net.json"
+    save_network(make_net(arch, n=4, h=2, seed=61, decoder_bias=True), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_load_network_rejects_unknown_arch(tmp_path):
+    path = write_snapshot(tmp_path, "ann", lambda p: p.update(arch="cnn"))
+    with pytest.raises(ParameterError, match="arch"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("arch", ["nan", "ann", "nn"])
+def test_load_network_rejects_missing_key(tmp_path, arch):
+    keys = json.loads(write_snapshot(tmp_path, arch, lambda p: None).read_text())
+    for key in keys:
+        path = write_snapshot(tmp_path, arch, lambda p: p.pop(key))
+        with pytest.raises(ParameterError, match=key):
+            load_network(path)
+
+
+@pytest.mark.parametrize(
+    "arch,key,value",
+    [
+        ("nn", "hidden_bias", [0.1, 0.2, 0.3]),     # h=2
+        ("nn", "output_w", [0.5]),
+        ("nn", "output_bias", [0.5]),
+        ("nn", "encoder", [[0.1, 0.2, 0.3, 0.4], [0.5]]),
+        ("nan", "decoder", [[0.0] * 4] * 3),
+        ("nan", "decoder_bias", [0.0] * 4),
+        ("nan", "encoder", "weights"),
+        ("ann", "layer_decoder", [[0.0] * 4] * 2),  # (n, h) is (4, 2)
+        ("ann", "layer_decoder_bias", [0.0] * 2),
+    ],
+)
+def test_load_network_rejects_misshapen_block(tmp_path, arch, key, value):
+    path = write_snapshot(tmp_path, arch, lambda p: p.update({key: value}))
+    with pytest.raises(ParameterError, match=key):
+        load_network(path)
