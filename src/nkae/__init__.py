@@ -6,12 +6,10 @@ from .landscape import (
     Dataset,
     NkLandscape,
     gen_dataset,
-    gene_contribution,
     fitness_batch,
     load_dataset,
     load_landscape,
     nk_datasets,
-    nk_fitness,
     nk_new,
     save_dataset,
     save_landscape,
@@ -20,17 +18,11 @@ from .networks import (
     Coord,
     Network,
     ae_mse,
-    decode_layer,
-    decode_neuron,
-    forward,
-    hidden_activation,
     init_network,
     layer_ae_mse,
     load_network,
-    nan_mean_ae_mse,
     neuron_ae_mse,
     save_network,
-    sigmoid,
     task_mse,
 )
 from .incremental import EvalCache

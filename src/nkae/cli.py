@@ -148,7 +148,8 @@ def build_parser() -> _Parser:
     p.add_argument("--fresh-data-per-run", action="store_true",
                    help="sample a new dataset pair for every run instead of per cell")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel trial processes (default: %(default)s)")
+                   help="parallel trial processes, at most one per pending trial "
+                        "and per CPU (default: %(default)s)")
     p.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
     p.add_argument("--out-dir", required=True, help="sweep output directory")
 
@@ -189,10 +190,19 @@ def _load_sample(path: str, column: str) -> list:
     if column in header:
         idx = header.index(column)
         values = []
-        for line in lines[1:]:
-            cell = line.split(",")[idx]
-            if cell:
-                values.append(float(cell))
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ParameterError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
+                )
+            if cells[idx]:
+                try:
+                    values.append(float(cells[idx]))
+                except ValueError:
+                    raise ParameterError(
+                        f"{path}:{lineno}: {column} must be numeric, got {cells[idx]!r}"
+                    ) from None
         return values
     try:
         return [float(line.split(",")[0]) for line in lines]

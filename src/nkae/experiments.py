@@ -88,8 +88,12 @@ class ExperimentConfig:
         for arch in self.archs:
             if arch not in nets.ARCHS:
                 raise ParameterError(f"unknown architecture {arch!r}")
-        if not self.n_grid or not self.k_grid or not self.archs:
-            raise ParameterError("n_grid, k_grid and archs must be non-empty")
+        for name in ("n_grid", "k_grid", "archs"):
+            values = getattr(self, name)
+            if not values:
+                raise ParameterError(f"{name} must be non-empty")
+            if len(set(values)) != len(values):
+                raise ParameterError(f"{name} repeats a value: {values}")
         for n, k in itertools.product(self.n_grid, self.k_grid):
             if n < 2 or not 1 <= k <= min(nkland.MAX_K, n - 1):
                 raise ParameterError(
@@ -287,9 +291,12 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
             results.append(_load_trial_result(spec))
         else:
             pending.append(spec)
+    # The fork start method starts every worker at once, so ask for no more
+    # than can be busy.
+    workers = min(config.workers, len(pending), os.cpu_count() or 1)
     try:
-        if config.workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results.extend(pool.map(run_trial, pending))
         else:
             results.extend(run_trial(s) for s in pending)

@@ -5,8 +5,7 @@ An NK landscape assigns each of ``n`` binary genes a lookup table of
 mean of its per-gene table lookups. The lookup index for gene ``i`` is built
 with gene ``i``'s own bit as the most significant bit, followed by the bits
 of its ``k`` epistatic neighbors in stored order. Contributions are summed
-in gene order (left to right, float64) so results are identical between the
-single-genome and batch paths and reproducible bit-for-bit.
+in gene order (left to right, float64), so results reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ def _check_neighbors(n, k, neighbors):
 
 
 def _check_table(table):
-    if table.min() < 0.0 or table.max() > 1.0:
+    # written so that a NaN entry fails too
+    if not (table.min() >= 0.0 and table.max() <= 1.0):
         raise ParameterError("table entries must lie in [0.0, 1.0]")
 
 
@@ -176,27 +176,11 @@ def _mean_lookups(table_rows, indices, n):
     return [total / n for total in totals]
 
 
-def gene_contribution(landscape: NkLandscape, i: int, genome) -> float:
-    """Table lookup for gene i: own bit is the most significant index bit."""
-    if not 0 <= i < landscape.n:
-        raise ParameterError(f"gene index must lie in [0, {landscape.n}), got {i}")
-    genome = _check_genomes(landscape, np.asarray(genome)[None, :])[0]
-    idx = int(genome[i])
-    for nb in landscape.neighbors[i]:
-        idx = (idx << 1) | int(genome[nb])
-    return float(landscape.tables[i, idx])
-
-
 def fitness_batch(landscape: NkLandscape, genomes) -> np.ndarray:
     """Fitness of each genome row: per-gene contributions summed in gene order, / n."""
     genomes = _check_genomes(landscape, genomes)
     idx = _lookup_indices(genomes, landscape.neighbors)
     return _mean_lookups(landscape.tables, [idx], landscape.n)[0]
-
-
-def nk_fitness(landscape: NkLandscape, genome) -> float:
-    """Normalized fitness of one genome; always in [0, 1]."""
-    return float(fitness_batch(landscape, np.asarray(genome)[None, :])[0])
 
 
 def _draw_genomes(count, n, seed):
@@ -276,15 +260,21 @@ def save_landscape(landscape: NkLandscape, path) -> None:
 
 
 def load_landscape(path) -> NkLandscape:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return NkLandscape(
-        payload["n"],
-        payload["k"],
-        payload["seed"],
-        payload["neighbors"],
-        payload["tables"],
-        payload.get("neighbor_mode", "random"),
-    )
+    """Read a `save_landscape` file; malformed content raises ParameterError naming it."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return NkLandscape(
+            payload["n"],
+            payload["k"],
+            payload["seed"],
+            payload["neighbors"],
+            payload["tables"],
+            payload.get("neighbor_mode", "random"),
+        )
+    except KeyError as exc:
+        raise ParameterError(f"{path}: landscape has no {exc}") from None
+    except (TypeError, ValueError, ParameterError) as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def _meta_path(path) -> Path:

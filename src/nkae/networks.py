@@ -48,15 +48,6 @@ TASK_LAYERS = ("output_w", "output_bias")
 CLAMP = 500.0
 
 
-def sigmoid(x: float) -> float:
-    """Logistic function with the pre-activation clamped to [-500, 500]."""
-    if x > CLAMP:
-        x = CLAMP
-    elif x < -CLAMP:
-        x = -CLAMP
-    return 1.0 / (1.0 + math.exp(-x))
-
-
 def sigmoid_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized clamped logistic; writes into `out` when given."""
     if out is None:
@@ -69,15 +60,15 @@ def sigmoid_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _dec_act_vec(name, x, out=None):
+def _dec_act_vec(name, x, out):
+    """Decoder activation of `x`, written into `out` (which may be `x`)."""
     if name == "sigmoid":
         return sigmoid_vec(x, out=out)
     if name == "tanh":
-        return np.tanh(x, out=out) if out is not None else np.tanh(x)
-    if out is not None and out is not x:
+        return np.tanh(x, out=out)
+    if out is not x:
         np.copyto(out, x)
-        return out
-    return x
+    return out
 
 
 # --- parameters and their coordinates ------------------------------------------
@@ -143,6 +134,10 @@ class Network:
     def __init__(self, arch, n, h, *, decoder_bias=False, decoder_activation="sigmoid"):
         if arch not in ARCHS:
             raise ParameterError(f"arch must be one of {ARCHS}, got {arch!r}")
+        if decoder_activation not in DECODER_ACTIVATIONS:
+            raise ParameterError(
+                f"decoder_activation must be one of {DECODER_ACTIVATIONS}, got {decoder_activation!r}"
+            )
         if n < 1 or h < 1:
             raise ParameterError(f"n and h must be >= 1, got n={n}, h={h}")
         self.arch = arch
@@ -201,50 +196,6 @@ def init_network(arch: str, n: int, config, rng: np.random.Generator) -> Network
     return net
 
 
-def _check_input(network, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (network.n,):
-        raise ParameterError(f"input must have length {network.n}, got shape {x.shape}")
-    return x
-
-
-def hidden_activation(network: Network, j: int, x) -> float:
-    """Activation of hidden node j on a single input vector."""
-    if not 0 <= j < network.h:
-        raise ParameterError(f"hidden index must lie in [0, {network.h}), got {j}")
-    x = _check_input(network, x)
-    return sigmoid(float(network.hidden_bias[j] + network.encoder[j] @ x))
-
-
-def forward(network: Network, x) -> float:
-    """Supervised output for a single input vector; strictly inside (0, 1)."""
-    x = _check_input(network, x)
-    pre = network.encoder @ x + network.hidden_bias
-    act = sigmoid_vec(pre)
-    return sigmoid(float(network.output_bias + network.output_w @ act))
-
-
-def decode_neuron(nan: Network, j: int, activation: float) -> np.ndarray:
-    """Neuron j's reconstruction of all N inputs from one activation value."""
-    if not 0 <= j < nan.h:
-        raise ParameterError(f"hidden index must lie in [0, {nan.h}), got {j}")
-    pre = nan.decoder[j] * activation
-    if nan.decoder_bias is not None:
-        pre = pre + nan.decoder_bias[j]
-    return _dec_act_vec(nan.decoder_activation, pre)
-
-
-def decode_layer(ann: Network, hidden) -> np.ndarray:
-    """Decoder-layer reconstruction of all N inputs from the hidden vector."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    if hidden.shape != (ann.h,):
-        raise ParameterError(f"hidden vector must have length {ann.h}, got shape {hidden.shape}")
-    pre = ann.decoder @ hidden
-    if ann.decoder_bias is not None:
-        pre = pre + ann.decoder_bias
-    return _dec_act_vec(ann.decoder_activation, pre)
-
-
 def hidden_batch(network: Network, X: np.ndarray) -> np.ndarray:
     """Hidden activations for every example row; shape (count, h)."""
     return sigmoid_vec(X @ network.encoder.T + network.hidden_bias)
@@ -287,14 +238,6 @@ def neuron_ae_mse(nan: Network, j: int, dataset: Dataset) -> float:
     return float(rec.sum()) / (dataset.count * nan.n)
 
 
-def nan_mean_ae_mse(nan: Network, dataset: Dataset) -> float:
-    """Reconstruction MSE averaged over the H neurons (the logged series)."""
-    total = 0.0
-    for j in range(nan.h):
-        total += neuron_ae_mse(nan, j, dataset)
-    return total / nan.h
-
-
 def layer_ae_mse(ann: Network, dataset: Dataset) -> float:
     """Decoder-layer reconstruction MSE over examples and components."""
     _check_dataset(ann, dataset)
@@ -310,9 +253,12 @@ def layer_ae_mse(ann: Network, dataset: Dataset) -> float:
 
 
 def ae_mse(network: Network, dataset: Dataset) -> float | None:
-    """Architecture-appropriate reconstruction MSE; None for plain networks."""
+    """Reconstruction MSE: nan's mean over its neurons, ann's layer MSE, None for nn."""
     if network.arch == "nan":
-        return nan_mean_ae_mse(network, dataset)
+        total = 0.0
+        for j in range(network.h):
+            total += neuron_ae_mse(network, j, dataset)
+        return total / network.h
     if network.arch == "ann":
         return layer_ae_mse(network, dataset)
     return None
@@ -355,10 +301,11 @@ def load_network(path) -> Network:
     bias = False
     if arch != "nn":
         activation = field("decoder_activation")
-        if activation not in DECODER_ACTIVATIONS:
-            raise ParameterError(f"{path}: unknown decoder_activation {activation!r}")
         bias = field(_json_key(arch, "decoder_bias")) is not None
-    net = Network(arch, n, h, decoder_bias=bias, decoder_activation=activation)
+    try:
+        net = Network(arch, n, h, decoder_bias=bias, decoder_activation=activation)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
     for name, (offset, shape) in net.layout.items():
         key = _json_key(arch, name)
         try:

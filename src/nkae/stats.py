@@ -1,4 +1,4 @@
-"""Summary statistics, Shapiro-Wilk normality test, and two-sample t-tests.
+"""Summary statistics, Shapiro-Wilk normality test, and Welch's two-sample t-test.
 
 Everything is implemented directly so results do not depend on an external
 statistics stack: the normal quantiles behind the Shapiro-Wilk weights come
@@ -133,12 +133,8 @@ def _t_two_sided_p(t: float, df: float) -> float:
 
 # --- tests --------------------------------------------------------------------
 
-def welch_t_test(a, b, *, pooled: bool = False) -> TestReport:
-    """Two-sample t-test, unequal variances by default.
-
-    `pooled=True` switches to the classic Student pooled-variance form with
-    n1 + n2 - 2 degrees of freedom.
-    """
+def welch_t_test(a, b) -> TestReport:
+    """Welch's two-sample t-test: unequal variances, Welch-Satterthwaite df."""
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
     na, nb = xa.size, xb.size
@@ -149,15 +145,10 @@ def welch_t_test(a, b, *, pooled: bool = False) -> TestReport:
     vb = float(np.sum((xb - mb) ** 2)) / (nb - 1)
     if va == 0.0 and vb == 0.0:
         raise InapplicableTestError("both samples have zero variance")
-    if pooled:
-        sp2 = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
-        se = math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
-        df = float(na + nb - 2)
-    else:
-        se = math.sqrt(va / na + vb / nb)
-        df = (va / na + vb / nb) ** 2 / (
-            (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
-        )
+    se = math.sqrt(va / na + vb / nb)
+    df = (va / na + vb / nb) ** 2 / (
+        (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
+    )
     t = (ma - mb) / se
     p = _t_two_sided_p(t, df)
     return TestReport(t, df, p, p < ALPHA)

@@ -112,6 +112,21 @@ def test_stats_compare_csv_format_to_file(tmp_path):
     assert out.read_text().splitlines()[0] == "section,field,value"
 
 
+@pytest.mark.parametrize("row, message", [
+    ("8,2,nan,9,1,0.1", "expected 9 cells, got 6"),
+    ("8,2,nan,9,1,0.1,abc,0.5,", "final_test_mse must be numeric"),
+])
+def test_stats_compare_bad_sample_exits_one(tmp_path, capsys, row, message):
+    header = "n,k,arch,run,seed,final_train_mse,final_test_mse,final_ae_mse,duration_ms"
+    a = tmp_path / "a.csv"
+    a.write_text(header + "\n" + "\n".join(
+        f"8,2,nan,{i},1,0.1,{0.01 + i / 1000},0.5," for i in range(3)) + "\n" + row + "\n")
+    assert run_cli("stats", "compare", "--a", str(a), "--b", str(a)) == 1
+    err = capsys.readouterr().err
+    assert f"a.csv:5: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert run_cli("frobnicate") == 1
     assert "usage" in capsys.readouterr().err.lower()
@@ -140,6 +155,45 @@ def test_bad_train_data_exits_one(tmp_path, capsys, cell, message):
     assert code == 1
     assert message in err and "bad.csv:3" in err
     assert "Traceback" not in err
+
+
+def write_landscape(path, case):
+    """A saved landscape, broken as `case` says."""
+    run_cli("gen-landscape", "--n", "4", "--k", "2", "--seed", "3", "--out", str(path))
+    payload = json.loads(path.read_text())
+    if case == "missing key":
+        del payload["tables"]
+    elif case == "nan entry":
+        payload["tables"][2][1] = float("nan")
+    text = json.dumps(payload)
+    path.write_text(text[: len(text) // 2] if case == "not json" else text)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing key", "no 'tables'"),
+    ("not json", "Expecting"),
+    ("nan entry", "table entries must lie in [0.0, 1.0]"),
+])
+def test_bad_landscape_file_exits_one(tmp_path, capsys, case, message):
+    land = tmp_path / "land.json"
+    write_landscape(land, case)
+    capsys.readouterr()
+    out = tmp_path / "d.csv"
+    assert run_cli("gen-dataset", "--landscape", str(land), "--seed", "1",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{land}: " in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("archs, n_grid", [("nan,nn", "8,8"), ("nan,nan", "8")])
+def test_repeated_grid_value_exits_one(tmp_path, capsys, archs, n_grid):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--n-grid", n_grid, "--k-grid", "2", "--archs", archs,
+                   "--runs", "2", "--seed", "5", "--out-dir", str(out)) == 1
+    assert "repeats" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):

@@ -96,6 +96,15 @@ def test_unknown_neighbor_mode_rejected_before_any_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [{"n_grid": (8, 8)}, {"k_grid": (2, 2)}, {"archs": ("nan", "nan")}])
+def test_repeated_grid_value_rejected_before_any_output(tmp_path, grid):
+    out = tmp_path / "out"
+    grid = {"n_grid": (8,), "k_grid": (2,), "archs": ("nan", "nn"), **grid}
+    with pytest.raises(ParameterError, match="repeats"):
+        run_experiment(ExperimentConfig(master_seed=77, out_dir=out, runs=2, **grid))
+    assert not out.exists()
+
+
 # --- running sweeps ----------------------------------------------------------------------
 
 def test_single_arch_two_runs(tmp_path):
@@ -125,6 +134,43 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     run_experiment(tiny_config(tmp_path / "serial", workers=1))
     run_experiment(tiny_config(tmp_path / "parallel", workers=2))
     assert read_tree(tmp_path / "serial") == read_tree(tmp_path / "parallel")
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "archs, runs, workers, cpus, sizes",
+    [
+        (("nan",), 2, 500, 64, [2]),             # capped by the pending trials
+        (("nan", "ann", "nn"), 2, 500, 3, [3]),  # capped by the CPU count
+        (("nan", "ann", "nn"), 2, 4, 64, [4]),
+        (("nan",), 1, 500, 64, []),              # one trial runs in-process
+    ],
+)
+def test_worker_pool_sized_to_pending_trials_and_cpus(tmp_path, monkeypatch,
+                                                       archs, runs, workers, cpus, sizes):
+    monkeypatch.setattr(exps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(exps.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    config = tiny_config(tmp_path / "out", runs=runs, archs=archs, workers=workers)
+    assert len(run_experiment(config)) == len(archs) * runs
+    assert SerialPool.sizes == sizes
 
 
 def test_deleted_trial_regenerated_identically(tmp_path):

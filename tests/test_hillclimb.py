@@ -266,7 +266,7 @@ def test_final_snapshot_matches_final_network():
     last = log.snapshots[-1]
     assert last.iteration == 200
     assert last.train_task_mse == nets.task_mse(net, train_set)
-    assert last.train_ae_mse == nets.nan_mean_ae_mse(net, train_set)
+    assert last.train_ae_mse == nets.ae_mse(net, train_set)
     assert log.final_train_task_mse == last.train_task_mse
 
 

@@ -7,11 +7,9 @@ import pytest
 from nkae import (
     ParameterError,
     gen_dataset,
-    gene_contribution,
     fitness_batch,
     load_dataset,
     load_landscape,
-    nk_fitness,
     nk_new,
     save_dataset,
     save_landscape,
@@ -61,46 +59,48 @@ def test_adjacent_neighbor_mode():
     assert land.neighbors[5].tolist() == [0, 1]
 
 
+# A single gene's contribution is read through fitness_batch on a landscape
+# whose other tables are zero: the fitness is then that contribution / n.
+
+def only_gene(land, i):
+    """`land` with every table except gene i's zeroed."""
+    tables = np.zeros_like(land.tables)
+    tables[i] = land.tables[i]
+    return NkLandscape(land.n, land.k, land.seed, land.neighbors, tables, land.neighbor_mode)
+
+
 def test_constant_table_contribution():
     land = nk_new(4, 2, seed=3)
     land.tables[1][:] = 0.7
-    for genome in all_genomes(4):
-        assert gene_contribution(land, 1, genome) == 0.7
+    fits = fitness_batch(only_gene(land, 1), list(all_genomes(4)))
+    assert np.all(fits == 0.7 / 4)
 
 
 def test_contribution_matches_hand_traced_lookup():
     land = nk_new(3, 1, seed=17)
     genome = [1, 0, 1]
     expected = oracle_gene_contribution(land.tables, land.neighbors, 0, genome)
-    assert gene_contribution(land, 0, genome) == expected
+    assert fitness_batch(only_gene(land, 0), [genome])[0] == expected / 3
 
 
 def test_all_zero_genome_hits_first_table_row():
     land = nk_new(6, 3, seed=5)
     zeros = [0] * 6
     for i in range(6):
-        assert gene_contribution(land, i, zeros) == land.tables[i][0]
-
-
-def test_contribution_index_errors():
-    land = nk_new(4, 1, seed=2)
-    with pytest.raises(ParameterError):
-        gene_contribution(land, 4, [0, 1, 0, 1])
-    with pytest.raises(ParameterError):
-        gene_contribution(land, 0, [0, 1])
+        assert fitness_batch(only_gene(land, i), [zeros])[0] == land.tables[i][0] / 6
 
 
 def test_constant_landscape_fitness():
     land = nk_new(5, 2, seed=8)
     land.tables[:] = 0.5
     for genome in ([0] * 5, [1] * 5, [1, 0, 1, 0, 1]):
-        assert nk_fitness(land, genome) == 0.5
+        assert fitness_batch(land, [genome])[0] == 0.5
 
 
 def test_fitness_matches_exhaustive_oracle():
     land = nk_new(3, 1, seed=29)
     for genome in all_genomes(3):
-        assert nk_fitness(land, genome) == oracle_fitness(land.tables, land.neighbors, genome)
+        assert fitness_batch(land, [genome])[0] == oracle_fitness(land.tables, land.neighbors, genome)
 
 
 def test_fitness_in_unit_interval():
@@ -115,7 +115,7 @@ def test_fitness_in_unit_interval():
 def test_fitness_length_mismatch():
     land = nk_new(5, 2, seed=1)
     with pytest.raises(ParameterError):
-        nk_fitness(land, [0, 1, 0])
+        fitness_batch(land, [[0, 1, 0]])
 
 
 def test_single_table_entry_localized_effect():
@@ -131,7 +131,7 @@ def test_single_table_entry_localized_effect():
     for genome in all_genomes(6):
         bits = str(genome[gene]) + "".join(str(genome[j]) for j in land.neighbors[gene])
         selects = int(bits, 2) == entry
-        changed = nk_fitness(land, genome) != nk_fitness(bumped, genome)
+        changed = fitness_batch(land, [genome])[0] != fitness_batch(bumped, [genome])[0]
         assert changed == selects
 
 

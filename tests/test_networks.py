@@ -1,29 +1,25 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nkae import (
     Dataset,
+    EvalCache,
     ParameterError,
     TrainConfig,
-    decode_layer,
-    decode_neuron,
-    forward,
-    hidden_activation,
+    ae_mse,
     init_network,
     layer_ae_mse,
     load_network,
-    nan_mean_ae_mse,
     neuron_ae_mse,
     save_network,
-    sigmoid,
     task_mse,
 )
-from nkae import networks as nets
 from nkae.hillclimb import pick_coordinate
-from nkae.networks import Coord
+from nkae.networks import Coord, Network, forward_batch, hidden_batch, sigmoid_vec
 
 from oracles import (
     same_network,
@@ -163,7 +159,23 @@ def test_init_rejects_unknown_arch():
         init_network("cnn", 5, TrainConfig(seed=0), np.random.default_rng(0))
 
 
+def test_unknown_decoder_activation_rejected(tmp_path):
+    with pytest.raises(ParameterError, match="relu"):
+        Network("nan", 3, 2, decoder_activation="relu")
+    path = write_snapshot(tmp_path, "ann", lambda p: p.update(decoder_activation="relu"))
+    with pytest.raises(ParameterError, match=re.escape(f"{path}: decoder_activation")):
+        load_network(path)
+
+
 # --- activations ----------------------------------------------------------------
+
+def sigmoid(x):
+    return sigmoid_vec(np.array([x]))[0]
+
+
+def forward(net, x):
+    return forward_batch(net, np.array([x], dtype=np.float64))[0]
+
 
 def test_sigmoid_values():
     assert sigmoid(0.0) == 0.5
@@ -181,23 +193,23 @@ def test_hidden_activation_zero_network():
     net = make_net("nn", n=4, h=2)
     net.encoder[:] = 0.0
     net.hidden_bias[:] = 0.0
-    assert hidden_activation(net, 0, [1.0, -1.0, 1.0, -1.0]) == 0.5
+    assert hidden_batch(net, np.array([[1.0, -1.0, 1.0, -1.0]]))[0, 0] == 0.5
 
 
 def test_hidden_activation_hand_case():
     net = make_net("nn", n=1, h=1)
     net.encoder[0, 0] = 2.0
     net.hidden_bias[0] = -1.0
-    assert abs(hidden_activation(net, 0, [1.0]) - SIG1) < 1e-15
+    assert abs(hidden_batch(net, np.array([[1.0]]))[0, 0] - SIG1) < 1e-15
 
 
 def test_hidden_activation_sign_flip_symmetry():
     net = make_net("nn", n=5, h=2, seed=8)
     x = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-    a = hidden_activation(net, 1, x)
+    a = hidden_batch(net, x[None])[0, 1]
     net.encoder[1] *= -1.0
     net.hidden_bias[1] *= -1.0
-    assert abs(hidden_activation(net, 1, x) - (1.0 - a)) < 1e-12
+    assert abs(hidden_batch(net, x[None])[0, 1] - (1.0 - a)) < 1e-12
 
 
 def test_forward_zero_network_is_half():
@@ -236,8 +248,11 @@ def test_forward_matches_scalar_oracle():
 
 def test_forward_dimension_mismatch():
     net = make_net("nn", n=4, h=2)
-    with pytest.raises(ParameterError):
-        forward(net, [1.0, -1.0])
+    narrow = make_dataset(2, 5)
+    with pytest.raises(ParameterError, match="width 2"):
+        task_mse(net, narrow)
+    with pytest.raises(ParameterError, match="width 2"):
+        EvalCache(net, narrow)
 
 
 def test_no_nan_or_inf_for_huge_weights():
@@ -252,62 +267,84 @@ def test_no_nan_or_inf_for_huge_weights():
 
 
 # --- decoders ----------------------------------------------------------------------
+#
+# A decoder's output is checked through the reconstruction MSE on one example
+# whose input is the expected reconstruction. The encoder is zero, so the
+# hidden activations depend on the hidden biases alone.
+
+def logit(p):
+    return math.log(p / (1.0 - p))
+
+
+def target(values):
+    """A one-example dataset whose input row is `values`."""
+    return Dataset(np.array([values], dtype=np.float64), np.zeros(1))
+
+
+def set_activations(net, hidden):
+    net.encoder[:] = 0.0
+    net.hidden_bias[:] = [logit(a) for a in hidden]
+
 
 def test_decode_neuron_zero_weights():
     net = make_net("nan", n=4, h=2)
     net.decoder[:] = 0.0
-    assert np.all(decode_neuron(net, 0, 0.9) == 0.5)
+    set_activations(net, [0.9, 0.9])
+    assert neuron_ae_mse(net, 0, target([0.5] * 4)) == 0.0
 
 
 def test_decode_neuron_zero_activation():
     net = make_net("nan", n=4, h=2, seed=6)
-    assert np.all(decode_neuron(net, 1, 0.0) == 0.5)
+    net.encoder[:] = 0.0
+    net.hidden_bias[1] = -1000.0      # clamped: activation ~7e-218
+    assert neuron_ae_mse(net, 1, target([0.5] * 4)) == 0.0
 
 
 def test_decode_neuron_hand_value():
     net = make_net("nan", n=1, h=1)
+    set_activations(net, [0.5])
     net.decoder[0, 0] = 3.0
     expected = 1.0 / (1.0 + math.exp(-1.5))
-    assert abs(decode_neuron(net, 0, 0.5)[0] - expected) < 1e-15
+    assert neuron_ae_mse(net, 0, target([expected])) <= 1e-15 ** 2
 
 
 def test_decode_neuron_linear_and_bias():
     net = make_net("nan", n=2, h=1, decoder_activation="linear", decoder_bias=True)
+    set_activations(net, [0.5])
     net.decoder[0] = [2.0, -2.0]
     net.decoder_bias[0] = [0.25, 0.5]
-    out = decode_neuron(net, 0, 0.5)
-    assert out.tolist() == [1.25, -0.5]
+    assert neuron_ae_mse(net, 0, target([1.25, -0.5])) == 0.0
 
 
 def test_decode_layer_zero_weights():
     net = make_net("ann", n=4, h=3)
     net.decoder[:] = 0.0
-    hidden = np.array([0.2, 0.9, 0.5])
-    assert np.all(decode_layer(net, hidden) == 0.5)
+    set_activations(net, [0.2, 0.9, 0.5])
+    assert layer_ae_mse(net, target([0.5] * 4)) == 0.0
 
 
 def test_decode_layer_single_hidden_equals_decode_neuron():
     ann = make_net("ann", n=5, h=1, seed=14)
     nan = make_net("nan", n=5, h=1, seed=15)
     nan.decoder[0] = ann.decoder[:, 0]
+    ds = make_dataset(5, 6, seed=2)
     for act in (0.1, 0.5, 0.93):
-        assert np.array_equal(decode_layer(ann, [act]), decode_neuron(nan, 0, act))
+        set_activations(ann, [act])
+        set_activations(nan, [act])
+        assert layer_ae_mse(ann, ds) == neuron_ae_mse(nan, 0, ds)
 
 
 def test_decode_layer_matches_dense_oracle():
     net = make_net("ann", n=6, h=4, seed=20)
-    hidden = np.random.default_rng(7).random(4)
+    net.encoder[:] = 0.0
+    net.hidden_bias[:] = np.random.default_rng(7).normal(size=4)
+    hidden = [1.0 / (1.0 + math.exp(-float(b))) for b in net.hidden_bias]
     expected = []
     for i in range(6):
         pre = sum(float(net.decoder[i, j]) * hidden[j] for j in range(4))
         expected.append(1.0 / (1.0 + math.exp(-pre)))
-    assert np.allclose(decode_layer(net, hidden), expected, atol=1e-12, rtol=0)
-
-
-def test_decode_layer_dimension_mismatch():
-    net = make_net("ann", n=4, h=3)
-    with pytest.raises(ParameterError):
-        decode_layer(net, [0.5, 0.5])
+    # one example, so n * MSE is the summed squared error: every component within 1e-12
+    assert 6 * layer_ae_mse(net, target(expected)) <= 1e-12 ** 2
 
 
 # --- objectives -----------------------------------------------------------------------
@@ -315,7 +352,7 @@ def test_decode_layer_dimension_mismatch():
 def test_task_mse_zero_when_outputs_equal_targets():
     net = make_net("nn", n=5, h=2, seed=30)
     ds = make_dataset(5, 8, seed=3)
-    ds.targets[:] = [forward(net, x) for x in ds.inputs]
+    ds.targets[:] = forward_batch(net, ds.inputs)
     assert task_mse(net, ds) == 0.0
 
 
@@ -429,7 +466,7 @@ def test_nan_mean_ae_mse_is_mean_over_neurons():
     net = make_net("nan", n=5, h=4, seed=53)
     ds = make_dataset(5, 9, seed=10)
     per_neuron = [neuron_ae_mse(net, j, ds) for j in range(4)]
-    assert abs(nan_mean_ae_mse(net, ds) - sum(per_neuron) / 4) < 1e-15
+    assert abs(ae_mse(net, ds) - sum(per_neuron) / 4) < 1e-15
 
 
 def test_hidden_index_out_of_range():
@@ -438,7 +475,7 @@ def test_hidden_index_out_of_range():
     with pytest.raises(ParameterError):
         neuron_ae_mse(net, 2, ds)
     with pytest.raises(ParameterError):
-        decode_neuron(net, -1, 0.5)
+        neuron_ae_mse(net, -1, ds)
 
 
 # --- serialization -------------------------------------------------------------------
