@@ -263,10 +263,7 @@ def _cmd_train(args) -> int:
     network, log = hillclimb.train(args.arch, train_set, test_set, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = f"{args.arch}_run00"
-    hillclimb.write_cycle_log(log.records, out / f"{base}_cycles.csv")
-    hillclimb.write_snapshot_log(log.snapshots, out / f"{base}_snapshots.csv")
-    nets.save_network(network, out / f"{base}_network.json")
+    experiments.write_run(experiments.run_paths(out, args.arch, 0), network, log)
     print(f"final train task MSE: {log.final_train_task_mse!r}")
     if log.final_test_task_mse is not None:
         print(f"final test task MSE: {log.final_test_task_mse!r}")

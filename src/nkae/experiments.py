@@ -47,6 +47,11 @@ PURPOSE_TEST_DATA = 3
 PURPOSE_TRIAL = 4
 
 RESULTS_HEADER = "n,k,arch,run,seed,final_train_mse,final_test_mse,final_ae_mse,duration_ms"
+# The keys of a trial's `_result.json`, in order, and the types of their values.
+RESULT_FIELDS = {
+    "n": int, "k": int, "arch": str, "run": int, "seed": int,
+    "final_train_mse": float, "final_test_mse": float, "final_ae_mse": (float, type(None)),
+}
 
 
 def derive_seed(master: int, purpose: int, n: int = 0, k: int = 0, arch_code: int = 0, run: int = 0) -> int:
@@ -133,8 +138,9 @@ class TrialSpec:
     cell_dir: str
 
 
-def _trial_paths(spec: TrialSpec) -> dict:
-    base = Path(spec.cell_dir) / f"{spec.arch}_run{spec.run:02d}"
+def run_paths(directory, arch: str, run: int) -> dict:
+    """The artifact paths of one run: cycles, snapshots, network and result."""
+    base = Path(directory) / f"{arch}_run{run:02d}"
     return {
         "cycles": base.with_name(base.name + "_cycles.csv"),
         "snapshots": base.with_name(base.name + "_snapshots.csv"),
@@ -167,9 +173,16 @@ def _write_atomic(path: Path, write) -> None:
     os.replace(tmp, path)
 
 
+def write_run(paths: dict, network, log) -> None:
+    """Write a run's cycle log, snapshot log and final network, each atomically."""
+    _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log.records, p))
+    _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
+    _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
+
+
 def run_trial(spec: TrialSpec) -> TrialResult:
     """Regenerate the trial's data from seeds, train, and write its artifacts."""
-    paths = _trial_paths(spec)
+    paths = run_paths(spec.cell_dir, spec.arch, spec.run)
     train_set, test_set = _cell_datasets(
         spec.n, spec.k, spec.neighbor_mode, spec.landscape_seed,
         spec.train_count, spec.train_seed, spec.test_count, spec.test_seed,
@@ -179,37 +192,43 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     network, log = hillclimb.train(spec.arch, train_set, test_set, config)
     duration_ms = (time.perf_counter() - start) * 1000.0
     Path(spec.cell_dir).mkdir(parents=True, exist_ok=True)
-    _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log.records, p))
-    _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
-    _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
+    write_run(paths, network, log)
     result = TrialResult(
         spec.n, spec.k, spec.arch, spec.run, spec.trial_seed,
         log.final_train_task_mse, log.final_test_task_mse, log.final_ae_mse,
         duration_ms,
     )
-    payload = {
-        "n": result.n, "k": result.k, "arch": result.arch, "run": result.run,
-        "seed": result.seed,
-        "final_train_mse": result.final_train_mse,
-        "final_test_mse": result.final_test_mse,
-        "final_ae_mse": result.final_ae_mse,
-    }
-    text = json.dumps(payload)
+    text = json.dumps({key: getattr(result, key) for key in RESULT_FIELDS})
     _write_atomic(paths["result"], lambda p: p.write_text(text, encoding="utf-8"))
     return result
 
 
 def _load_trial_result(spec: TrialSpec) -> TrialResult:
-    payload = json.loads(_trial_paths(spec)["result"].read_text(encoding="utf-8"))
-    return TrialResult(
-        payload["n"], payload["k"], payload["arch"], payload["run"], payload["seed"],
-        payload["final_train_mse"], payload["final_test_mse"], payload["final_ae_mse"],
-        None,
-    )
+    path = run_paths(spec.cell_dir, spec.arch, spec.run)["result"]
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParameterError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParameterError(f"{path}: a trial result must be a JSON object")
+    values = []
+    for key, kind in RESULT_FIELDS.items():
+        if key not in payload:
+            raise ParameterError(f"{path}: trial result has no {key!r}")
+        value = payload[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParameterError(f"{path}: invalid {key} {value!r}")
+        values.append(value)
+    identity = (spec.n, spec.k, spec.arch, spec.run, spec.trial_seed)
+    if tuple(values[:5]) != identity:
+        raise ParameterError(
+            f"{path}: holds trial {tuple(values[:5])}, expected (n, k, arch, run, seed) = {identity}"
+        )
+    return TrialResult(*values, None)
 
 
 def _trial_complete(spec: TrialSpec) -> bool:
-    return all(p.exists() for p in _trial_paths(spec).values())
+    return all(p.exists() for p in run_paths(spec.cell_dir, spec.arch, spec.run).values())
 
 
 def build_trial_specs(config: ExperimentConfig) -> list[TrialSpec]:
@@ -240,10 +259,6 @@ def build_trial_specs(config: ExperimentConfig) -> list[TrialSpec]:
     return specs
 
 
-def _fmt_opt(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_results_csv(results, path) -> None:
     """Deterministic results table; duration_ms stays empty by design."""
     rows = sorted(results, key=lambda r: (r.n, r.k, r.arch, r.run))
@@ -251,29 +266,16 @@ def write_results_csv(results, path) -> None:
     for r in rows:
         lines.append(
             f"{r.n},{r.k},{r.arch},{r.run},{r.seed},"
-            f"{_fmt_opt(r.final_train_mse)},{_fmt_opt(r.final_test_mse)},"
-            f"{_fmt_opt(r.final_ae_mse)},"
+            f"{hillclimb._fmt(r.final_train_mse)},{hillclimb._fmt(r.final_test_mse)},"
+            f"{hillclimb._fmt(r.final_ae_mse)},"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_results_csv(path) -> list[TrialResult]:
-    results = []
-    with Path(path).open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != RESULTS_HEADER:
-            raise ParameterError(f"unexpected results header: {header!r}")
-        for line in fh:
-            n, k, arch, run, seed, train_mse, test_mse, ae, dur = line.rstrip("\n").split(",")
-            results.append(
-                TrialResult(
-                    int(n), int(k), arch, int(run), int(seed),
-                    float(train_mse), float(test_mse),
-                    float(ae) if ae else None,
-                    float(dur) if dur else None,
-                )
-            )
-    return results
+    """Read `write_results_csv`'s table; a malformed row is a ParameterError naming file:line."""
+    parsers = (int, int, str, int, int, float, float, hillclimb._opt_float, hillclimb._opt_float)
+    return [TrialResult(*row) for row in hillclimb._read_csv(path, RESULTS_HEADER, parsers)]
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:

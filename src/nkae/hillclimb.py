@@ -170,7 +170,8 @@ def train(
 
     Per-cycle objectives come from the incremental `EvalCache`. Snapshot
     MSEs are recomputed from scratch by the `networks` evaluators every
-    `eval_interval` cycles; nothing compares them with the cache.
+    `eval_interval` cycles; nothing compares them with the cache. The final
+    metrics are those of a snapshot of the final network.
     """
     if arch not in nets.ARCHS:
         raise ParameterError(f"arch must be one of {nets.ARCHS}, got {arch!r}")
@@ -192,11 +193,16 @@ def train(
         records.append(record)
         if iteration % config.eval_interval == 0:
             log.snapshots.append(_snapshot(network, train_set, test_set, iteration))
+    # the last snapshot, when one was taken after the last cycle, already
+    # holds the final network's metrics
+    if config.iterations % config.eval_interval == 0:
+        final = log.snapshots[-1]
+    else:
+        final = _snapshot(network, train_set, test_set, config.iterations)
     log.final_network = network.copy()
-    log.final_train_task_mse = nets.task_mse(network, train_set)
-    log.final_ae_mse = nets.ae_mse(network, train_set)
-    if test_set is not None:
-        log.final_test_task_mse = nets.task_mse(network, test_set)
+    log.final_train_task_mse = final.train_task_mse
+    log.final_ae_mse = final.train_ae_mse
+    log.final_test_task_mse = final.test_task_mse
     return network, log
 
 
@@ -207,7 +213,40 @@ SNAPSHOT_HEADER = "iter,train_task_mse,train_ae_mse,test_task_mse"
 
 
 def _fmt(value) -> str:
+    """A float artifact cell: the exact repr, or empty for None."""
     return "" if value is None else repr(float(value))
+
+
+def _opt_float(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+def _read_csv(path, header: str, parsers) -> list[list]:
+    """The rows of a CSV artifact, cell i converted by parsers[i].
+
+    A wrong header, a row of the wrong width or a cell its parser rejects
+    raises ParameterError naming the file and line.
+    """
+    rows = []
+    names = header.split(",")
+    with Path(path).open(encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\n")
+        if first != header:
+            raise ParameterError(f"{path}:1: expected header {header!r}, got {first!r}")
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(names):
+                raise ParameterError(
+                    f"{path}:{lineno}: expected {len(names)} cells, got {len(cells)}"
+                )
+            row = []
+            for name, parse, cell in zip(names, parsers, cells):
+                try:
+                    row.append(parse(cell))
+                except ValueError:
+                    raise ParameterError(f"{path}:{lineno}: invalid {name} {cell!r}") from None
+            rows.append(row)
+    return rows
 
 
 def write_cycle_log(records, path) -> None:
@@ -221,20 +260,8 @@ def write_cycle_log(records, path) -> None:
 
 
 def read_cycle_log(path) -> list[CycleRecord]:
-    records = []
-    with Path(path).open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CYCLE_HEADER:
-            raise ParameterError(f"unexpected cycle log header: {header!r}")
-        for line in fh:
-            it, kind, coord, delta, before, after, accepted = line.strip().split(",")
-            records.append(
-                CycleRecord(
-                    int(it), kind, parse_coord(coord), float(delta),
-                    float(before), float(after), accepted == "1",
-                )
-            )
-    return records
+    rows = _read_csv(path, CYCLE_HEADER, (int, str, parse_coord, float, float, float, int))
+    return [CycleRecord(*row[:6], row[6] == 1) for row in rows]
 
 
 def write_snapshot_log(snapshots, path) -> None:
@@ -247,19 +274,5 @@ def write_snapshot_log(snapshots, path) -> None:
 
 
 def read_snapshot_log(path) -> list[Snapshot]:
-    snapshots = []
-    with Path(path).open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != SNAPSHOT_HEADER:
-            raise ParameterError(f"unexpected snapshot log header: {header!r}")
-        for line in fh:
-            it, train_mse, ae, test = line.rstrip("\n").split(",")
-            snapshots.append(
-                Snapshot(
-                    int(it),
-                    float(train_mse),
-                    float(ae) if ae else None,
-                    float(test) if test else None,
-                )
-            )
-    return snapshots
+    rows = _read_csv(path, SNAPSHOT_HEADER, (int, float, _opt_float, _opt_float))
+    return [Snapshot(*row) for row in rows]

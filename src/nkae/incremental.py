@@ -2,11 +2,20 @@
 
 The hill climber changes one parameter per cycle, so almost all per-example
 state survives between evaluations. ``EvalCache`` keeps hidden and output
-pre-activations (plus per-component reconstruction error sums) for the
-training set and evaluates a proposed mutation by recomputing only the
-slices the touched coordinate can reach. Proposals are staged: the network
-and cache are written only on ``accept``, so a rejected proposal provably
-leaves both untouched.
+pre-activations for the training set and evaluates a proposed mutation by
+recomputing only the slices the touched coordinate can reach. Proposals are
+staged: the network and cache are written only on ``accept``, so a rejected
+proposal provably leaves both untouched.
+
+Reconstruction is tracked per judge. A judge is one reconstruction
+objective: nan has h of them, judge j owning neuron j's encoder row, hidden
+bias and decoder; ann has one, the decoder layer; nn has none. Row g of
+``comp_sums`` holds judge g's squared reconstruction errors summed per input
+component, and ``ae[g]`` is their mean over examples and components. A
+proposal is staged as one of three kinds: ``task`` (the output node, and
+every nn hidden-node change, which only the task judges), ``hidden`` (a nan
+or ann encoder weight or hidden bias) and ``decoder`` (a nan or ann decoder
+weight or bias, which moves one component of one judge).
 
 Correctness is defined by the from-scratch evaluators in ``networks``;
 ``scratch_divergence`` measures the gap, which stays below 1e-12 over any
@@ -57,14 +66,15 @@ class EvalCache:
         if net.arch == "nan":
             self.comp_sums = np.empty((self.h, self.n))
             for j in range(self.h):
-                self.comp_sums[j] = self._nan_row_sums(j, self.h_act[:, j])
-            self.neuron_mse = self.comp_sums.sum(axis=1) / (self.m * self.n)
+                self.comp_sums[j] = self._col_sums(self._nan_pre(j, self.h_act[:, j]))
         elif net.arch == "ann":
             self.dec_pre = self.h_act @ net.decoder.T
             if net.decoder_bias is not None:
                 self.dec_pre += net.decoder_bias
-            self.comp_sums = self._ann_col_sums(self.dec_pre)
-            self.layer_mse = float(self.comp_sums.sum()) / (self.m * self.n)
+            self.comp_sums = self._col_sums(self.dec_pre)[None]
+        else:
+            self.comp_sums = np.empty((0, self.n))
+        self.ae = (self.comp_sums.sum(axis=1) / (self.m * self.n)).tolist()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -73,22 +83,23 @@ class EvalCache:
         buf -= self.y
         return float(buf @ buf) / self.m
 
-    def _nan_row_sums(self, j, act_col):
-        """Squared reconstruction errors of neuron j summed per component."""
-        net = self.net
-        buf = np.multiply.outer(act_col, net.decoder[j], out=self._mbuf)
-        if net.decoder_bias is not None:
-            buf += net.decoder_bias[j]
-        nets._dec_act_vec(net.decoder_activation, buf, out=buf)
+    def _nan_pre(self, j, act_col):
+        """Neuron j's (m, n) decoder pre-activations for the activations `act_col`."""
+        buf = np.multiply.outer(act_col, self.net.decoder[j], out=self._mbuf)
+        if self.net.decoder_bias is not None:
+            buf += self.net.decoder_bias[j]
+        return buf
+
+    def _col_sums(self, pre):
+        """Squared reconstruction errors of (m, n) decoder pre-activations, summed per component."""
+        buf = nets._dec_act_vec(self.net.decoder_activation, pre, out=self._mbuf)
         buf -= self.X
         np.multiply(buf, buf, out=buf)
         return buf.sum(axis=0)
 
-    def _ann_col_sums(self, dec_pre):
-        buf = nets._dec_act_vec(self.net.decoder_activation, dec_pre, out=self._mbuf)
-        buf -= self.X
-        np.multiply(buf, buf, out=buf)
-        return buf.sum(axis=0)
+    def _judge(self, coord: Coord) -> int:
+        """Row of `comp_sums` and `ae` that judges an autoencode coordinate."""
+        return coord.row if self.net.arch == "nan" else 0
 
     # -- public API ------------------------------------------------------------
 
@@ -96,9 +107,7 @@ class EvalCache:
         """Current incumbent value of the objective this coordinate is judged on."""
         if coord.layer in TASK_LAYERS or self.net.arch == "nn":
             return self.task_mse
-        if self.net.arch == "nan":
-            return float(self.neuron_mse[coord.row])
-        return self.layer_mse
+        return self.ae[self._judge(coord)]
 
     def propose(self, coord: Coord, delta: float) -> float:
         """Stage `coord += delta` and return the candidate objective value."""
@@ -107,128 +116,100 @@ class EvalCache:
         net = self.net
         flat = net.index(coord)
         layer, r, c = coord
-        if layer in TASK_LAYERS:
-            if layer == "output_w":
-                np.multiply(self.h_act[:, r], delta, out=self._c3)
-                self._c3 += self.out_pre
-            else:
-                np.add(self.out_pre, delta, out=self._c3)
-            cand = self._task_from(self._c3)
-            self._pending = ("output", coord, flat, delta, cand)
-            return cand
-
-        if layer in ("encoder", "hidden_bias"):
-            j = r
+        if layer == "output_w":
+            np.multiply(self.h_act[:, r], delta, out=self._c3)
+            self._c3 += self.out_pre
+        elif layer == "output_bias":
+            np.add(self.out_pre, delta, out=self._c3)
+        elif layer in ("encoder", "hidden_bias"):
             if layer == "encoder":
                 np.multiply(self.X[:, c], delta, out=self._c1)
-                self._c1 += self.h_pre[:, j]
+                self._c1 += self.h_pre[:, r]
             else:
-                np.add(self.h_pre[:, j], delta, out=self._c1)
+                np.add(self.h_pre[:, r], delta, out=self._c1)
             nets.sigmoid_vec(self._c1, out=self._c2)
+            # _c3: the activation shift of hidden node r
+            np.subtract(self._c2, self.h_act[:, r], out=self._c3)
             if net.arch == "nn":
-                np.subtract(self._c2, self.h_act[:, j], out=self._c3)
-                self._c3 *= net.output_w[j]
+                # only the task judges nn, so _c3 becomes the candidate out_pre
+                self._c3 *= net.output_w[r]
                 self._c3 += self.out_pre
-                cand = self._task_from(self._c3)
-                self._pending = ("nn_hidden", coord, flat, delta, cand)
-                return cand
-            if net.arch == "nan":
-                row = self._nan_row_sums(j, self._c2)
-                cand = float(row.sum()) / (self.m * self.n)
-                self._pending = ("nan_hidden", coord, flat, delta, cand, row)
-                return cand
-            # ann: shift every decoder pre-activation through hidden node j
-            np.subtract(self._c2, self.h_act[:, j], out=self._c3)
-            np.multiply.outer(self._c3, net.decoder[:, j], out=self._dec_buf)
-            self._dec_buf += self.dec_pre
-            sums = self._ann_col_sums(self._dec_buf)
-            cand = float(sums.sum()) / (self.m * self.n)
-            self._pending = ("ann_hidden", coord, flat, delta, cand, sums)
-            return cand
-
-        if net.arch == "nan":
-            j, i = r, c
-            if layer == "decoder":
-                np.multiply(self.h_act[:, j], net.decoder[j, i] + delta, out=self._c1)
-                if net.decoder_bias is not None:
-                    self._c1 += net.decoder_bias[j, i]
             else:
-                np.multiply(self.h_act[:, j], net.decoder[j, i], out=self._c1)
-                self._c1 += net.decoder_bias[j, i] + delta
-            col = nets._dec_act_vec(net.decoder_activation, self._c1, out=self._c1)
+                if net.arch == "nan":
+                    sums = self._col_sums(self._nan_pre(r, self._c2))
+                else:
+                    np.multiply.outer(self._c3, net.decoder[:, r], out=self._dec_buf)
+                    self._dec_buf += self.dec_pre
+                    sums = self._col_sums(self._dec_buf)
+                cand = float(sums.sum()) / (self.m * self.n)
+                self._pending = ("hidden", coord, flat, delta, cand, sums)
+                return cand
+        else:
+            # a decoder weight or bias: _c1 gets the candidate pre-activations
+            # of the one reconstructed component i it moves
+            if net.arch == "nan":
+                i = c
+                if layer == "decoder":
+                    np.multiply(self.h_act[:, r], net.decoder[r, i] + delta, out=self._c1)
+                    if net.decoder_bias is not None:
+                        self._c1 += net.decoder_bias[r, i]
+                else:
+                    np.multiply(self.h_act[:, r], net.decoder[r, i], out=self._c1)
+                    self._c1 += net.decoder_bias[r, i] + delta
+            else:
+                i = r
+                if layer == "decoder":
+                    np.multiply(self.h_act[:, c], delta, out=self._c1)
+                    self._c1 += self.dec_pre[:, i]
+                else:
+                    np.add(self.dec_pre[:, i], delta, out=self._c1)
+            col = nets._dec_act_vec(net.decoder_activation, self._c1, out=self._c2)
             col -= self.X[:, i]
             np.multiply(col, col, out=col)
             s_new = float(col.sum())
-            total = float(self.comp_sums[j].sum()) - float(self.comp_sums[j, i]) + s_new
+            g = self._judge(coord)
+            total = float(self.comp_sums[g].sum()) - float(self.comp_sums[g, i]) + s_new
             cand = total / (self.m * self.n)
-            self._pending = ("nan_decoder", coord, flat, delta, cand, s_new)
+            self._pending = ("decoder", coord, flat, delta, cand, (i, s_new))
             return cand
-
-        # ann decoder or decoder bias: `net.index` has ruled out the rest
-        i = r
-        if layer == "decoder":
-            np.multiply(self.h_act[:, c], delta, out=self._c1)
-            self._c1 += self.dec_pre[:, i]
-        else:
-            np.add(self.dec_pre[:, i], delta, out=self._c1)
-        col = nets._dec_act_vec(self.net.decoder_activation, self._c1, out=self._c2)
-        col -= self.X[:, i]
-        np.multiply(col, col, out=col)
-        s_new = float(col.sum())
-        total = float(self.comp_sums.sum()) - float(self.comp_sums[i]) + s_new
-        cand = total / (self.m * self.n)
-        self._pending = ("ann_decoder", coord, flat, delta, cand, s_new)
+        cand = self._task_from(self._c3)
+        self._pending = ("task", coord, flat, delta, cand, None)
         return cand
 
     def accept(self) -> None:
         """Apply the pending mutation to the network and commit staged state."""
         if self._pending is None:
             raise ParameterError("no proposal is pending")
-        kind, coord, flat, delta, cand = self._pending[:5]
+        kind, coord, flat, delta, cand, staged = self._pending
         net = self.net
         net.params[flat] += delta
+        j = coord.row
 
-        if kind == "output":
+        if kind == "task":
+            if coord.layer not in TASK_LAYERS:
+                self.h_pre[:, j] = self._c1
+                self.h_act[:, j] = self._c2
             self.out_pre, self._c3 = self._c3, self.out_pre
             self.task_mse = cand
-        elif kind == "nn_hidden":
-            j = coord.row
-            self.h_pre[:, j] = self._c1
-            self.h_act[:, j] = self._c2
-            self.out_pre, self._c3 = self._c3, self.out_pre
-            self.task_mse = cand
-        elif kind == "nan_hidden":
-            j = coord.row
-            row = self._pending[5]
-            np.subtract(self._c2, self.h_act[:, j], out=self._c3)
-            self._c3 *= net.output_w[j]
-            self.out_pre += self._c3
-            self.h_pre[:, j] = self._c1
-            self.h_act[:, j] = self._c2
-            self.comp_sums[j] = row
-            self.neuron_mse[j] = cand
-            self.task_mse = self._task_from(self.out_pre)
-        elif kind == "ann_hidden":
-            j = coord.row
-            sums = self._pending[5]
+        elif kind == "hidden":
+            g = self._judge(coord)
             self.h_pre[:, j] = self._c1
             self.h_act[:, j] = self._c2
             # _c3 still holds the activation shift from propose()
             self._c3 *= net.output_w[j]
             self.out_pre += self._c3
-            self.dec_pre, self._dec_buf = self._dec_buf, self.dec_pre
-            self.comp_sums = sums
-            self.layer_mse = cand
+            if net.arch == "ann":
+                self.dec_pre, self._dec_buf = self._dec_buf, self.dec_pre
+            self.comp_sums[g] = staged
+            self.ae[g] = cand
             self.task_mse = self._task_from(self.out_pre)
-        elif kind == "nan_decoder":
-            j, i = coord.row, coord.col
-            self.comp_sums[j, i] = self._pending[5]
-            self.neuron_mse[j] = cand
-        elif kind == "ann_decoder":
-            i = coord.row
-            self.dec_pre[:, i] = self._c1
-            self.comp_sums[i] = self._pending[5]
-            self.layer_mse = cand
+        else:
+            g = self._judge(coord)
+            i, s_new = staged
+            if net.arch == "ann":
+                self.dec_pre[:, i] = self._c1
+            self.comp_sums[g, i] = s_new
+            self.ae[g] = cand
         self._pending = None
 
     def reject(self) -> None:
@@ -241,13 +222,12 @@ class EvalCache:
 
     def scratch_divergence(self, dataset) -> float:
         """Max |cached - from-scratch| over every objective this cache tracks."""
-        worst = abs(self.task_mse - nets.task_mse(self.net, dataset))
-        if self.net.arch == "nan":
-            for j in range(self.h):
-                worst = max(
-                    worst,
-                    abs(float(self.neuron_mse[j]) - nets.neuron_ae_mse(self.net, j, dataset)),
-                )
-        elif self.net.arch == "ann":
-            worst = max(worst, abs(self.layer_mse - nets.layer_ae_mse(self.net, dataset)))
+        net = self.net
+        worst = abs(self.task_mse - nets.task_mse(net, dataset))
+        if net.arch == "nan":
+            scratch = [nets.neuron_ae_mse(net, j, dataset) for j in range(self.h)]
+        else:
+            scratch = [nets.layer_ae_mse(net, dataset)] if net.arch == "ann" else []
+        for cached, value in zip(self.ae, scratch):
+            worst = max(worst, abs(cached - value))
         return worst

@@ -78,6 +78,57 @@ def test_sweep_and_plotdata(tmp_path, capsys):
     assert run_cli("plotdata", "--results-dir", str(out), "--figure", "fig6") == 0
 
 
+SWEEP_ARGS = ["sweep", "--n-grid", "8", "--k-grid", "2", "--archs", "nan,ann", "--runs", "2",
+              "--iterations", "60", "--h", "3", "--eval-interval", "20",
+              "--train-count", "25", "--test-count", "25", "--seed", "5"]
+
+
+def edit_results_row(out, edit):
+    results = out / "results.csv"
+    lines = results.read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    results.write_text("\n".join(lines) + "\n")
+
+
+def append_snapshot_row(out):
+    with (out / "n8_k2" / "nan_run00_snapshots.csv").open("a") as fh:
+        fh.write("300,xyz,,\n")
+
+
+FIG5 = ["plotdata", "--figure", "fig5", "--n", "8", "--k", "2", "--results-dir"]
+FIG6 = ["plotdata", "--figure", "fig6", "--results-dir"]
+# case -> (how a finished sweep is broken, the command that reads it, the error)
+MALFORMED = {
+    "short results row": (lambda out: edit_results_row(out, lambda cells: cells[:6]),
+                          FIG6, "results.csv:3: expected 9 cells, got 6"),
+    "text final_test_mse": (
+        lambda out: edit_results_row(out, lambda cells: cells[:6] + ["abc"] + cells[7:]),
+        FIG6, "results.csv:3: invalid final_test_mse 'abc'"),
+    "text snapshot mse": (append_snapshot_row, FIG5,
+                          "nan_run00_snapshots.csv:5: invalid train_task_mse 'xyz'"),
+    "result without keys": (
+        lambda out: (out / "n8_k2" / "nan_run00_result.json").write_text('{"n": 20}'),
+        SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: trial result has no 'k'"),
+    "result of another trial": (
+        lambda out: (out / "n8_k2" / "nan_run00_result.json").write_bytes(
+            (out / "n8_k2" / "ann_run00_result.json").read_bytes()),
+        SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: holds trial (8, 2, 'ann', 0,"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_run_artifact_exits_one(tmp_path, capsys, case):
+    corrupt, argv, message = MALFORMED[case]
+    out = tmp_path / "sweep"
+    assert run_cli(*SWEEP_ARGS, "--out-dir", str(out)) == 0
+    corrupt(out)
+    capsys.readouterr()
+    assert run_cli(*argv, str(out)) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_stats_compare_identical_files(tmp_path, capsys):
     sample = tmp_path / "vals.csv"
     sample.write_text("\n".join(str(v / 10) for v in range(1, 21)) + "\n")

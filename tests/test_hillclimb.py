@@ -270,6 +270,22 @@ def test_final_snapshot_matches_final_network():
     assert log.final_train_task_mse == last.train_task_mse
 
 
+@pytest.mark.parametrize("iterations", [60, 50])
+def test_final_metrics_evaluated_once(monkeypatch, iterations):
+    train_set, test_set = make_cell()
+    calls = []
+    ae_mse = nets.ae_mse
+    monkeypatch.setattr(nets, "ae_mse", lambda *args: calls.append(1) or ae_mse(*args))
+    config = TrainConfig(seed=24, iterations=iterations, h=3, eval_interval=20)
+    net, log = train("ann", train_set, test_set, config)
+    # one evaluation per snapshot, plus one of the final network only when
+    # no snapshot was taken after the last cycle
+    assert len(calls) == len(log.snapshots) + (iterations % 20 != 0)
+    assert log.final_ae_mse == ae_mse(net, train_set)
+    assert log.final_train_task_mse == nets.task_mse(net, train_set)
+    assert log.final_test_task_mse == nets.task_mse(net, test_set)
+
+
 # --- log files --------------------------------------------------------------------------
 
 def test_cycle_log_roundtrip(tmp_path):

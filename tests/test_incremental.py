@@ -37,12 +37,20 @@ def test_objective_for_matches_naive(arch):
             assert abs(cache.objective_for(coord) - oracle_objective(net, coord, ds)) < 1e-12
 
 
-@pytest.mark.parametrize("arch", ["nn", "nan", "ann"])
-@pytest.mark.parametrize("decoder_bias", [False, True])
-def test_random_walk_stays_consistent(arch, decoder_bias):
-    if arch == "nn" and decoder_bias:
-        pytest.skip("nn has no decoder")
-    net, ds, cache = make_cache(arch, decoder_bias=decoder_bias)
+# nn has no decoder, so it walks once; the sigmoid walks keep their short ids
+WALKS = [
+    pytest.param(bias, arch, act, id=f"{bias}-{arch}" + ("" if act == "sigmoid" else f"-{act}"))
+    for arch in ("nn", "nan", "ann")
+    for bias in (False, True)
+    for act in nets.DECODER_ACTIVATIONS
+    if arch != "nn" or (not bias and act == "sigmoid")
+]
+
+
+@pytest.mark.parametrize("decoder_bias, arch, decoder_activation", WALKS)
+def test_random_walk_stays_consistent(arch, decoder_bias, decoder_activation):
+    net, ds, cache = make_cache(arch, decoder_bias=decoder_bias,
+                                decoder_activation=decoder_activation)
     rng = np.random.default_rng(11)
     for step in range(800):
         kind = "task" if rng.random() < 0.4 else "autoencode"
