@@ -13,13 +13,16 @@ violation.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import secrets
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import ParameterError, InapplicableTestError
+from .errors import ParameterError
 from . import experiments, hillclimb, landscape as nkland, networks as nets, stats
 
 
@@ -75,9 +78,9 @@ def _add_train_flags(parser, include_arch=True):
                         help="snapshot period in cycles (default: %(default)s)")
 
 
-def _train_config(args, seed) -> hillclimb.TrainConfig:
-    return hillclimb.TrainConfig(
-        seed=seed,
+def _experiment_config(args, seed, **grid) -> experiments.ExperimentConfig:
+    """The sweep config of the flags `train` and `sweep` share; `grid` names the cells and runs."""
+    train_config = hillclimb.TrainConfig(
         iterations=args.iterations,
         r=args.r,
         h=args.h,
@@ -85,6 +88,15 @@ def _train_config(args, seed) -> hillclimb.TrainConfig:
         decoder_activation=args.decoder_activation,
         decoder_bias=args.decoder_bias,
         eval_interval=args.eval_interval,
+    )
+    return experiments.ExperimentConfig(
+        master_seed=seed,
+        out_dir=Path(args.out_dir),
+        train_config=train_config,
+        train_count=args.train_count,
+        test_count=args.test_count,
+        neighbor_mode=args.neighbors,
+        **grid,
     )
 
 
@@ -233,59 +245,39 @@ def _cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.landscape:
         land = nkland.load_landscape(args.landscape)
+        n, k = land.n, land.k
     elif args.n is not None and args.k is not None:
-        land = nkland.nk_new(
-            args.n, args.k,
-            experiments.derive_seed(seed, experiments.PURPOSE_LANDSCAPE, args.n, args.k),
-            args.neighbors,
-        )
+        n, k = args.n, args.k
     else:
         raise ParameterError("provide --landscape or both --n and --k")
-    if args.train_data:
-        train_set = nkland.load_dataset(args.train_data)
+    # run 0 of arch in a one-cell sweep, written to --out-dir instead of its cell directory
+    config = _experiment_config(args, seed, n_grid=(n,), k_grid=(k,), archs=(args.arch,), runs=1)
+    [spec] = experiments.build_trial_specs(config)
+    spec = replace(spec, cell_dir=args.out_dir)
+    if args.landscape:
+        datasets = (nkland.gen_dataset(land, spec.train_count, spec.train_seed),
+                    nkland.gen_dataset(land, spec.test_count, spec.test_seed))
     else:
-        train_set = nkland.gen_dataset(
-            land, args.train_count,
-            experiments.derive_seed(seed, experiments.PURPOSE_TRAIN_DATA, land.n, land.k),
-        )
-    if args.test_data:
-        test_set = nkland.load_dataset(args.test_data)
-    else:
-        test_set = nkland.gen_dataset(
-            land, args.test_count,
-            experiments.derive_seed(seed, experiments.PURPOSE_TEST_DATA, land.n, land.k),
-        )
-    trial_seed = experiments.derive_seed(
-        seed, experiments.PURPOSE_TRIAL, land.n, land.k,
-        experiments.ARCH_CODES[args.arch], 0,
-    )
-    config = _train_config(args, trial_seed)
-    network, log = hillclimb.train(args.arch, train_set, test_set, config)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    experiments.write_run(experiments.run_paths(out, args.arch, 0), network, log)
-    print(f"final train task MSE: {log.final_train_task_mse!r}")
-    if log.final_test_task_mse is not None:
-        print(f"final test task MSE: {log.final_test_task_mse!r}")
-    if log.final_ae_mse is not None:
-        print(f"final reconstruction MSE: {log.final_ae_mse!r}")
-    print(f"wrote run artifacts to {out}")
+        datasets = experiments.cell_datasets(spec)
+    datasets = [nkland.load_dataset(path) if path else generated
+                for path, generated in zip((args.train_data, args.test_data), datasets)]
+    result = experiments.run_trial(spec, datasets)
+    print(f"final train task MSE: {result.final_train_mse!r}")
+    print(f"final test task MSE: {result.final_test_mse!r}")
+    if result.final_ae_mse is not None:
+        print(f"final reconstruction MSE: {result.final_ae_mse!r}")
+    print(f"wrote run artifacts to {args.out_dir}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args.seed)
-    config = experiments.ExperimentConfig(
-        master_seed=seed,
-        out_dir=Path(args.out_dir),
+    config = _experiment_config(
+        args, seed,
         n_grid=args.n_grid,
         k_grid=args.k_grid,
         archs=args.archs,
         runs=args.runs,
-        train_config=_train_config(args, 0),
-        train_count=args.train_count,
-        test_count=args.test_count,
-        neighbor_mode=args.neighbors,
         fresh_data_per_run=args.fresh_data_per_run,
         workers=args.workers,
     )
@@ -302,29 +294,24 @@ def _cmd_stats(args) -> int:
     report = {
         "summary_a": vars(stats.summarize(sample_a)),
         "summary_b": vars(stats.summarize(sample_b)),
+        "shapiro_a": stats.outcome(stats.shapiro_wilk, sample_a),
+        "shapiro_b": stats.outcome(stats.shapiro_wilk, sample_b),
+        "t_test": stats.outcome(stats.welch_t_test, sample_a, sample_b),
     }
-    for key, sample in (("shapiro_a", sample_a), ("shapiro_b", sample_b)):
-        try:
-            report[key] = vars(stats.shapiro_wilk(sample))
-        except InapplicableTestError as exc:
-            report[key] = {"error": str(exc)}
-    try:
-        report["t_test"] = vars(stats.welch_t_test(sample_a, sample_b))
-    except InapplicableTestError as exc:
-        report["t_test"] = {"error": str(exc)}
     if args.format == "json":
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report, indent=2) + "\n"
     else:
-        rows = ["section,field,value"]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("section", "field", "value"))
         for section, body in report.items():
-            for field, value in body.items():
-                rows.append(f"{section},{field},{value}")
-        text = "\n".join(rows)
+            writer.writerows((section, field, str(value)) for field, value in body.items())
+        text = buffer.getvalue()
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
-        print(text)
+        print(text, end="")
     return 0
 
 

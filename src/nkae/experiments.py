@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, InapplicableTestError
+from .errors import ParameterError
 from . import hillclimb, landscape as nkland, networks as nets, stats
 
 ARCH_CODES = {"nan": 1, "ann": 2, "nn": 3}
@@ -46,12 +46,12 @@ PURPOSE_TRAIN_DATA = 2
 PURPOSE_TEST_DATA = 3
 PURPOSE_TRIAL = 4
 
-RESULTS_HEADER = "n,k,arch,run,seed,final_train_mse,final_test_mse,final_ae_mse,duration_ms"
 # The keys of a trial's `_result.json`, in order, and the types of their values.
 RESULT_FIELDS = {
     "n": int, "k": int, "arch": str, "run": int, "seed": int,
     "final_train_mse": float, "final_test_mse": float, "final_ae_mse": (float, type(None)),
 }
+RESULTS_HEADER = ",".join([*RESULT_FIELDS, "duration_ms"])
 
 
 def derive_seed(master: int, purpose: int, n: int = 0, k: int = 0, arch_code: int = 0, run: int = 0) -> int:
@@ -162,6 +162,14 @@ def _cell_datasets(n, k, neighbor_mode, landscape_seed, train_count, train_seed,
     return tuple(datasets)
 
 
+def cell_datasets(spec: TrialSpec) -> tuple:
+    """The trial's generated (train, test) pair, shared by consecutive trials of its cell."""
+    return _cell_datasets(
+        spec.n, spec.k, spec.neighbor_mode, spec.landscape_seed,
+        spec.train_count, spec.train_seed, spec.test_count, spec.test_seed,
+    )
+
+
 def _write_atomic(path: Path, write) -> None:
     """Call `write` on a temporary sibling of `path`, then move it into place."""
     tmp = path.with_name(path.name + ".tmp")
@@ -173,26 +181,18 @@ def _write_atomic(path: Path, write) -> None:
     os.replace(tmp, path)
 
 
-def write_run(paths: dict, network, log) -> None:
-    """Write a run's cycle log, snapshot log and final network, each atomically."""
-    _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log.records, p))
-    _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
-    _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
-
-
-def run_trial(spec: TrialSpec) -> TrialResult:
-    """Regenerate the trial's data from seeds, train, and write its artifacts."""
+def run_trial(spec: TrialSpec, datasets=None) -> TrialResult:
+    """Train on `datasets` (default: the cell's, regenerated from seeds) and write the artifacts."""
     paths = run_paths(spec.cell_dir, spec.arch, spec.run)
-    train_set, test_set = _cell_datasets(
-        spec.n, spec.k, spec.neighbor_mode, spec.landscape_seed,
-        spec.train_count, spec.train_seed, spec.test_count, spec.test_seed,
-    )
+    train_set, test_set = cell_datasets(spec) if datasets is None else datasets
     config = replace(spec.train_config, seed=spec.trial_seed)
     start = time.perf_counter()
     network, log = hillclimb.train(spec.arch, train_set, test_set, config)
     duration_ms = (time.perf_counter() - start) * 1000.0
     Path(spec.cell_dir).mkdir(parents=True, exist_ok=True)
-    write_run(paths, network, log)
+    _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log.records, p))
+    _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
+    _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
     result = TrialResult(
         spec.n, spec.k, spec.arch, spec.run, spec.trial_seed,
         log.final_train_task_mse, log.final_test_task_mse, log.final_ae_mse,
@@ -260,10 +260,9 @@ def build_trial_specs(config: ExperimentConfig) -> list[TrialSpec]:
 
 
 def write_results_csv(results, path) -> None:
-    """Deterministic results table; duration_ms stays empty by design."""
-    rows = sorted(results, key=lambda r: (r.n, r.k, r.arch, r.run))
+    """Deterministic results table, rows in the given order; duration_ms stays empty by design."""
     lines = [RESULTS_HEADER]
-    for r in rows:
+    for r in results:
         lines.append(
             f"{r.n},{r.k},{r.arch},{r.run},{r.seed},"
             f"{hillclimb._fmt(r.final_train_mse)},{hillclimb._fmt(r.final_test_mse)},"
@@ -304,25 +303,17 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
             results.extend(run_trial(s) for s in pending)
     finally:
         _cell_datasets.cache_clear()
+    results.sort(key=lambda r: (r.n, r.k, r.arch, r.run))
     write_results_csv(results, config.out_dir / "results.csv")
-    timed = [r for r in results if r.duration_ms is not None]
     lines = ["n,k,arch,run,duration_ms"]
-    for r in sorted(timed, key=lambda r: (r.n, r.k, r.arch, r.run)):
-        lines.append(f"{r.n},{r.k},{r.arch},{r.run},{r.duration_ms:.3f}")
+    for r in results:
+        if r.duration_ms is not None:
+            lines.append(f"{r.n},{r.k},{r.arch},{r.run},{r.duration_ms:.3f}")
     (config.out_dir / "timings.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return sorted(results, key=lambda r: (r.n, r.k, r.arch, r.run))
+    return results
 
 
 # --- aggregation ---------------------------------------------------------------
-
-def _report_dict(report: stats.TestReport) -> dict:
-    return {
-        "statistic": report.statistic,
-        "df": report.df,
-        "p_value": report.p_value,
-        "significant": report.significant,
-    }
-
 
 def aggregate(results, cell: tuple[int, int]) -> dict:
     """Per-architecture summaries plus pairwise t-tests for one grid cell.
@@ -343,22 +334,15 @@ def aggregate(results, cell: tuple[int, int]) -> dict:
             raise ParameterError(
                 f"cell (n={n}, k={k}) has {len(values)} {arch} trials; need >= 2"
             )
-        entry = {"summary": vars(stats.summarize(values))}
-        try:
-            entry["shapiro"] = _report_dict(stats.shapiro_wilk(values))
-        except InapplicableTestError as exc:
-            entry["shapiro"] = {"error": str(exc)}
-        report["per_arch"][arch] = entry
+        report["per_arch"][arch] = {
+            "summary": vars(stats.summarize(values)),
+            "shapiro": stats.outcome(stats.shapiro_wilk, values),
+        }
     for a, b in itertools.combinations(sorted(by_arch), 2):
-        try:
-            report["pairwise"][f"{a}_vs_{b}"] = _report_dict(
-                stats.welch_t_test(by_arch[a], by_arch[b])
-            )
-        except InapplicableTestError as exc:
-            report["pairwise"][f"{a}_vs_{b}"] = {
-                "error": str(exc),
-                "note": "t-test skipped: samples are degenerate",
-            }
+        t_test = stats.outcome(stats.welch_t_test, by_arch[a], by_arch[b])
+        if "error" in t_test:
+            t_test["note"] = "t-test skipped: samples are degenerate"
+        report["pairwise"][f"{a}_vs_{b}"] = t_test
     return report
 
 
@@ -380,33 +364,6 @@ def _cell_snapshot_series(out_dir, results, n, k, arch):
     return iters, all_snaps
 
 
-def _mean_over_runs(all_snaps, attr):
-    columns = []
-    for snaps in all_snaps:
-        vals = [getattr(s, attr) for s in snaps]
-        if any(v is None for v in vals):
-            return None
-        columns.append(vals)
-    return np.mean(np.asarray(columns), axis=0)
-
-
-def emit_fig5_series(out_dir, n, k, archs=("nan", "ann")) -> Path:
-    """Mean train task MSE and mean reconstruction MSE per snapshot iteration."""
-    out_dir = Path(out_dir)
-    results = load_results_csv(out_dir / "results.csv")
-    lines = ["iter,arch,mean_train_task_mse,mean_train_ae_mse"]
-    for arch in archs:
-        iters, snaps = _cell_snapshot_series(out_dir, results, n, k, arch)
-        task = _mean_over_runs(snaps, "train_task_mse")
-        ae = _mean_over_runs(snaps, "train_ae_mse")
-        for idx, it in enumerate(iters):
-            ae_cell = "" if ae is None else repr(float(ae[idx]))
-            lines.append(f"{it},{arch},{repr(float(task[idx]))},{ae_cell}")
-    path = out_dir / f"fig5_n{n}_k{k}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 def emit_fig6_series(out_dir) -> Path:
     """Mean/min/max final test MSE for every (n, k, arch) in the results table."""
     out_dir = Path(out_dir)
@@ -423,19 +380,34 @@ def emit_fig6_series(out_dir) -> Path:
     return path
 
 
-def emit_fig7_series(out_dir, n, k, archs=("nan", "nn")) -> Path:
-    """Mean test task MSE per snapshot iteration for the chosen cell."""
+# figure tag -> (snapshot columns averaged over runs, default architectures)
+_CURVES = {
+    "fig5": (("train_task_mse", "train_ae_mse"), ("nan", "ann")),
+    "fig7": (("test_task_mse",), ("nan", "nn")),
+}
+
+
+def _emit_curves(out_dir, figure, n, k, archs, columns) -> Path:
+    """Mean of each snapshot column over the runs of (n, k, arch), per snapshot iteration.
+
+    The first column must be present in every run; a later one that some
+    run lacks (the reconstruction MSE of nn) is left empty.
+    """
     out_dir = Path(out_dir)
     results = load_results_csv(out_dir / "results.csv")
-    lines = ["iter,arch,mean_test_task_mse"]
+    lines = [",".join(["iter", "arch", *(f"mean_{column}" for column in columns)])]
     for arch in archs:
         iters, snaps = _cell_snapshot_series(out_dir, results, n, k, arch)
-        test = _mean_over_runs(snaps, "test_task_mse")
-        if test is None:
-            raise ParameterError(f"runs for arch {arch!r} carry no test-set snapshots")
+        means = []
+        for column in columns:
+            values = [[getattr(s, column) for s in run] for run in snaps]
+            means.append(None if any(None in v for v in values) else np.mean(values, axis=0))
+        if means[0] is None:
+            raise ParameterError(f"runs for arch {arch!r} carry no {columns[0]} snapshots")
         for idx, it in enumerate(iters):
-            lines.append(f"{it},{arch},{repr(float(test[idx]))}")
-    path = out_dir / f"fig7_n{n}_k{k}.csv"
+            cells = ["" if mean is None else repr(float(mean[idx])) for mean in means]
+            lines.append(",".join([str(it), arch, *cells]))
+    path = out_dir / f"{figure}_n{n}_k{k}.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -444,10 +416,9 @@ def emit_series(out_dir, figure: str, n: int | None = None, k: int | None = None
     """Dispatch to the figure-style emitters by tag: fig5, fig6 or fig7."""
     if figure == "fig6":
         return emit_fig6_series(out_dir)
-    if figure in ("fig5", "fig7"):
-        if n is None or k is None:
-            raise ParameterError(f"{figure} requires both n and k")
-        if figure == "fig5":
-            return emit_fig5_series(out_dir, n, k, archs or ("nan", "ann"))
-        return emit_fig7_series(out_dir, n, k, archs or ("nan", "nn"))
-    raise ParameterError(f"unknown figure tag {figure!r}; expected fig5, fig6 or fig7")
+    if figure not in _CURVES:
+        raise ParameterError(f"unknown figure tag {figure!r}; expected fig5, fig6 or fig7")
+    if n is None or k is None:
+        raise ParameterError(f"{figure} requires both n and k")
+    columns, default_archs = _CURVES[figure]
+    return _emit_curves(out_dir, figure, n, k, archs or default_archs, columns)

@@ -216,3 +216,11 @@ def shapiro_wilk(samples) -> TestReport:
         p = _norm_sf((wt - mu) / sigma)
 
     return TestReport(w, None, min(max(p, 0.0), 1.0), p < ALPHA)
+
+
+def outcome(test, *samples) -> dict:
+    """The fields of `test(*samples)`'s report, or {"error": reason} where the test does not apply."""
+    try:
+        return vars(test(*samples))
+    except InapplicableTestError as exc:
+        return {"error": str(exc)}

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import nkae
-from nkae import load_dataset, load_landscape
+from nkae import derive_seed, load_dataset, load_landscape
 from nkae.cli import cli_main
+from nkae.experiments import PURPOSE_LANDSCAPE, PURPOSE_TEST_DATA, PURPOSE_TRAIN_DATA, run_paths
 
 
 def run_cli(*argv):
@@ -58,6 +60,39 @@ def test_train_twice_identical_outputs(tmp_path):
     assert run_cli(*args, "--out-dir", str(tmp_path / "b")) == 0
     for name in ("nan_run00_cycles.csv", "nan_run00_snapshots.csv", "nan_run00_network.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+TRAIN_FLAGS = ["--iterations", "60", "--h", "3", "--eval-interval", "20",
+               "--train-count", "25", "--test-count", "25", "--seed", "5"]
+
+
+@pytest.mark.parametrize("mode", ["cell", "landscape", "data-files"])
+def test_train_is_run_zero_of_a_sweep(tmp_path, monkeypatch, mode):
+    n, k = 8, 2
+    sweep = tmp_path / "sweep"
+    assert run_cli("sweep", "--n-grid", str(n), "--k-grid", str(k), "--archs", "ann",
+                   "--runs", "1", *TRAIN_FLAGS, "--out-dir", str(sweep)) == 0
+    cell = ["--n", str(n), "--k", str(k)]
+    land = tmp_path / "land.json"
+    run_cli("gen-landscape", *cell, "--seed", str(derive_seed(5, PURPOSE_LANDSCAPE, n, k)),
+            "--out", str(land))
+    inputs = {"cell": cell, "landscape": ["--landscape", str(land)], "data-files": cell}[mode]
+    if mode == "data-files":
+        for name, purpose in (("train", PURPOSE_TRAIN_DATA), ("test", PURPOSE_TEST_DATA)):
+            path = tmp_path / f"{name}.csv"
+            run_cli("gen-dataset", "--landscape", str(land), "--count", "25",
+                    "--seed", str(derive_seed(5, purpose, n, k)), "--out", str(path))
+            inputs = inputs + [f"--{name}-data", str(path)]
+
+    def materialise(*args):
+        raise AssertionError("nkae train built a landscape's full tables")
+
+    monkeypatch.setattr(nkae.landscape, "nk_new", materialise)
+    out = tmp_path / "train"
+    assert run_cli("train", "--arch", "ann", *inputs, *TRAIN_FLAGS, "--out-dir", str(out)) == 0
+    expected = run_paths(sweep / f"n{n}_k{k}", "ann", 0)
+    for kind, path in run_paths(out, "ann", 0).items():
+        assert path.read_bytes() == expected[kind].read_bytes(), kind
 
 
 def test_train_requires_cell_or_landscape(tmp_path):
@@ -154,13 +189,23 @@ def test_stats_compare_results_column(tmp_path, capsys):
     assert report["t_test"]["significant"]
 
 
-def test_stats_compare_csv_format_to_file(tmp_path):
-    sample = tmp_path / "vals.csv"
-    sample.write_text("\n".join(str(v / 7) for v in range(1, 13)) + "\n")
+@pytest.mark.parametrize("values_a, values_b, errors", [
+    (range(1, 13), range(1, 13), {}),
+    ([1], [1, 2, 3], {"shapiro_a": "sample size must lie in [3, 5000], got 1",
+                      "t_test": "each sample needs >= 2 values, got 1 and 3"}),
+], ids=["same-sample", "one-value-sample"])
+def test_stats_compare_csv_format_to_file(tmp_path, values_a, values_b, errors):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("\n".join(str(v / 7) for v in values_a) + "\n")
+    b.write_text("\n".join(str(v / 7) for v in values_b) + "\n")
     out = tmp_path / "report.csv"
-    assert run_cli("stats", "compare", "--a", str(sample), "--b", str(sample),
+    assert run_cli("stats", "compare", "--a", str(a), "--b", str(b),
                    "--format", "csv", "--out", str(out)) == 0
-    assert out.read_text().splitlines()[0] == "section,field,value"
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["section", "field", "value"]
+    assert all(len(row) == 3 for row in rows)
+    assert {section: value for section, field, value in rows if field == "error"} == errors
 
 
 @pytest.mark.parametrize("row, message", [

@@ -8,8 +8,9 @@ thread, then compares the two output trees with `diff -r`, ignoring the
 wall-clock `timings.csv`. Exits 0 when every pair of trees is
 byte-identical and 1 otherwise, printing the files that differ.
 
-The configs are criterion 3's sweep (tests/test_acceptance.py), the same
-sweep with decoder biases, with a tanh decoder and with a linear decoder,
+The eight configs are criterion 3's sweep (tests/test_acceptance.py), the
+same sweep with decoder biases, with a tanh decoder, with a linear decoder,
+and with fresh data per run, adjacent neighbours and two worker processes,
 and the three benchmark workloads of `benchmarks/workloads.py` at seed 1,
 built as `benchmarks/child.py` builds them.
 """
@@ -60,6 +61,9 @@ def configs() -> dict:
                         ("tanh", {"decoder_activation": "tanh"}),
                         ("linear", {"decoder_activation": "linear"})):
         out[f"criterion-3-{name}"] = dict(criterion_3, train_config={"seed": 0, **extra})
+    out["criterion-3-fresh-adjacent-pool"] = dict(
+        criterion_3, fresh_data_per_run=True, neighbor_mode="adjacent", workers=2
+    )
     bench = _workloads()
     for w in bench.WORKLOADS.values():
         out[w.name] = {
