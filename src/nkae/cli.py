@@ -95,7 +95,6 @@ def _experiment_config(args, seed, **grid) -> experiments.ExperimentConfig:
         train_config=train_config,
         train_count=args.train_count,
         test_count=args.test_count,
-        neighbor_mode=args.neighbors,
         **grid,
     )
 
@@ -131,7 +130,8 @@ def build_parser() -> _Parser:
     p.add_argument("--test-data", help="test CSV (otherwise sampled)")
     p.add_argument("--n", type=int, help="gene count when generating data")
     p.add_argument("--k", type=int, help="epistasis degree when generating data")
-    p.add_argument("--neighbors", default="random", choices=nkland.NEIGHBOR_MODES)
+    p.add_argument("--neighbors", default=None, choices=nkland.NEIGHBOR_MODES,
+                   help="epistatic partner scheme when generating data (default: random)")
     p.add_argument("--train-count", type=int, default=1000,
                    help="generated training examples (default: %(default)s)")
     p.add_argument("--test-count", type=int, default=1000,
@@ -245,13 +245,19 @@ def _cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.landscape:
         land = nkland.load_landscape(args.landscape)
-        n, k = land.n, land.k
+        for flag, given, field in (("--n", args.n, "n"), ("--k", args.k, "k"),
+                                   ("--neighbors", args.neighbors, "neighbor_mode")):
+            if given is not None and given != getattr(land, field):
+                raise ParameterError(f"{flag} {given} disagrees with {args.landscape}, "
+                                     f"whose {field} is {getattr(land, field)!r}")
+        n, k, neighbors = land.n, land.k, land.neighbor_mode
     elif args.n is not None and args.k is not None:
-        n, k = args.n, args.k
+        n, k, neighbors = args.n, args.k, args.neighbors or "random"
     else:
         raise ParameterError("provide --landscape or both --n and --k")
     # run 0 of arch in a one-cell sweep, written to --out-dir instead of its cell directory
-    config = _experiment_config(args, seed, n_grid=(n,), k_grid=(k,), archs=(args.arch,), runs=1)
+    config = _experiment_config(args, seed, n_grid=(n,), k_grid=(k,), archs=(args.arch,), runs=1,
+                                neighbor_mode=neighbors)
     [spec] = experiments.build_trial_specs(config)
     spec = replace(spec, cell_dir=args.out_dir)
     if args.landscape:
@@ -278,6 +284,7 @@ def _cmd_sweep(args) -> int:
         k_grid=args.k_grid,
         archs=args.archs,
         runs=args.runs,
+        neighbor_mode=args.neighbors,
         fresh_data_per_run=args.fresh_data_per_run,
         workers=args.workers,
     )
@@ -305,7 +312,8 @@ def _cmd_stats(args) -> int:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(("section", "field", "value"))
         for section, body in report.items():
-            writer.writerows((section, field, str(value)) for field, value in body.items())
+            writer.writerows((section, field, "" if value is None else str(value))
+                             for field, value in body.items())
         text = buffer.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

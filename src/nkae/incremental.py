@@ -17,6 +17,17 @@ every nn hidden-node change, which only the task judges), ``hidden`` (a nan
 or ann encoder weight or hidden bias) and ``decoder`` (a nan or ann decoder
 weight or bias, which moves one component of one judge).
 
+A hidden proposal of nan or ann moves a whole judge's reconstruction, an
+(m, n) array for m examples. It is never written out: the kernel walks the
+examples in blocks of ``max(1, min(m, BLOCK_ELEMS // n))`` rows through a
+``(rows + 1, n)`` scratch buffer, whose row 0 carries the running column
+sums so that every sum is bit-identical to one ``sum(axis=0)`` over all
+rows. At n=1000 that is 65 rows (about 0.5 MiB); at n <= 65 a 1000-example
+set is one block. Besides that buffer the cache holds (m,) and (m, h)
+arrays and the (h, n) ``comp_sums``; the one (m, n) array is ann's decoder
+pre-activations ``dec_pre``, which an accepted ann hidden proposal updates
+in place, block by block.
+
 Correctness is defined by the from-scratch evaluators in ``networks``;
 ``scratch_divergence`` measures the gap, which stays below 1e-12 over any
 mutation sequence the trainer produces.
@@ -29,6 +40,10 @@ import numpy as np
 from .errors import ParameterError
 from . import networks as nets
 from .networks import TASK_LAYERS, Coord
+
+# Elements per block of examples in the reconstruction kernels: 2**16
+# float64 (512 KiB) stays in L2, and at n <= 65 a 1000-example set is one block.
+BLOCK_ELEMS = 2**16
 
 
 class EvalCache:
@@ -49,9 +64,8 @@ class EvalCache:
         self._c3 = np.empty(m)
         self._c4 = np.empty(m)
         if network.arch in ("nan", "ann"):
-            self._mbuf = np.empty((m, n))
-        if network.arch == "ann":
-            self._dec_buf = np.empty((m, n))
+            self._rows = max(1, min(m, BLOCK_ELEMS // n))
+            self._buf = np.empty((self._rows + 1, n))
         self.refresh()
 
     # -- full rebuild --------------------------------------------------------
@@ -66,12 +80,12 @@ class EvalCache:
         if net.arch == "nan":
             self.comp_sums = np.empty((self.h, self.n))
             for j in range(self.h):
-                self.comp_sums[j] = self._col_sums(self._nan_pre(j, self.h_act[:, j]))
+                self.comp_sums[j] = self._nan_sums(j, self.h_act[:, j])
         elif net.arch == "ann":
             self.dec_pre = self.h_act @ net.decoder.T
             if net.decoder_bias is not None:
                 self.dec_pre += net.decoder_bias
-            self.comp_sums = self._col_sums(self.dec_pre)[None]
+            self.comp_sums = self._col_sums(None, None, self.dec_pre, clip=True)[None]
         else:
             self.comp_sums = np.empty((0, self.n))
         self.ae = (self.comp_sums.sum(axis=1) / (self.m * self.n)).tolist()
@@ -83,19 +97,66 @@ class EvalCache:
         buf -= self.y
         return float(buf @ buf) / self.m
 
-    def _nan_pre(self, j, act_col):
-        """Neuron j's (m, n) decoder pre-activations for the activations `act_col`."""
-        buf = np.multiply.outer(act_col, self.net.decoder[j], out=self._mbuf)
-        if self.net.decoder_bias is not None:
-            buf += self.net.decoder_bias[j]
-        return buf
+    def _blocks(self):
+        """(start, stop) of each block of `_rows` examples, in order."""
+        for s in range(0, self.m, self._rows):
+            yield s, min(s + self._rows, self.m)
 
-    def _col_sums(self, pre):
-        """Squared reconstruction errors of (m, n) decoder pre-activations, summed per component."""
-        buf = nets._dec_act_vec(self.net.decoder_activation, pre, out=self._mbuf)
-        buf -= self.X
-        np.multiply(buf, buf, out=buf)
-        return buf.sum(axis=0)
+    def _nan_sums(self, j, act_col):
+        """Neuron j's per-component error sums for the hidden activations `act_col`."""
+        d = self.net.decoder[j]
+        b = None if self.net.decoder_bias is None else self.net.decoder_bias[j]
+        # |act| <= 1, so |act * d + b| <= max|d| + max|b|: the clamp can only bite above CLAMP
+        bound = np.abs(d).max() + (0.0 if b is None else np.abs(b).max())
+        return self._col_sums(act_col, d, b, clip=bound > nets.CLAMP)
+
+    def _col_sums(self, act, d, base, clip):
+        """Squared reconstruction errors of the decoder pre-activations
+        ``outer(act, d) + base``, summed per component (``base`` alone when `act`
+        is None). `base` is None, one (n,) row or an (m, n) array.
+
+        The examples are walked in blocks of `_rows` rows through the
+        ``(_rows + 1, n)`` scratch `_buf`, whose row 0 carries the running
+        column sums: ``sum(axis=0)`` over the carry row and a block adds rows in
+        the same order as one ``sum(axis=0)`` over all m rows, so the sums are
+        bit-identical to it. The sums go to a separate vector, since an `out`
+        that overlaps the input makes numpy copy the input first.
+
+        A sigmoid decoder computes 1 / (1 + exp(p)) from the negated
+        pre-activations ``p = outer(act, -d) - base``, which equal
+        ``-(outer(act, d) + base)`` bit for bit; `clip` False skips the clamp
+        where the caller has shown |p| <= CLAMP.
+        """
+        activation = self.net.decoder_activation
+        sign = -1.0 if activation == "sigmoid" else 1.0
+        if act is not None:
+            d = d * sign
+        buf, sums = self._buf, np.zeros(self.n)
+        for s, e in self._blocks():
+            blk = buf[1:e - s + 1]
+            part = base[s:e] if base is not None and base.ndim == 2 else base
+            if act is None:
+                np.multiply(part, sign, out=blk)
+            else:
+                np.multiply.outer(act[s:e], d, out=blk)
+                if part is not None:
+                    if sign < 0:
+                        blk -= part
+                    else:
+                        blk += part
+            if activation == "sigmoid":
+                if clip:
+                    np.clip(blk, -nets.CLAMP, nets.CLAMP, out=blk)
+                np.exp(blk, out=blk)
+                blk += 1.0
+                np.reciprocal(blk, out=blk)
+            elif activation == "tanh":
+                np.tanh(blk, out=blk)
+            blk -= self.X[s:e]
+            np.multiply(blk, blk, out=blk)
+            buf[0] = sums
+            buf[:e - s + 1].sum(axis=0, out=sums)
+        return sums
 
     def _judge(self, coord: Coord) -> int:
         """Row of `comp_sums` and `ae` that judges an autoencode coordinate."""
@@ -136,11 +197,9 @@ class EvalCache:
                 self._c3 += self.out_pre
             else:
                 if net.arch == "nan":
-                    sums = self._col_sums(self._nan_pre(r, self._c2))
+                    sums = self._nan_sums(r, self._c2)
                 else:
-                    np.multiply.outer(self._c3, net.decoder[:, r], out=self._dec_buf)
-                    self._dec_buf += self.dec_pre
-                    sums = self._col_sums(self._dec_buf)
+                    sums = self._col_sums(self._c3, net.decoder[:, r], self.dec_pre, clip=True)
                 cand = float(sums.sum()) / (self.m * self.n)
                 self._pending = ("hidden", coord, flat, delta, cand, sums)
                 return cand
@@ -196,10 +255,14 @@ class EvalCache:
             self.h_pre[:, j] = self._c1
             self.h_act[:, j] = self._c2
             # _c3 still holds the activation shift from propose()
+            if net.arch == "ann":
+                # dec_pre += outer(shift, decoder column j), one block of examples at a time
+                for s, e in self._blocks():
+                    blk = np.multiply.outer(self._c3[s:e], net.decoder[:, j],
+                                            out=self._buf[1:e - s + 1])
+                    self.dec_pre[s:e] += blk
             self._c3 *= net.output_w[j]
             self.out_pre += self._c3
-            if net.arch == "ann":
-                self.dec_pre, self._dec_buf = self._dec_buf, self.dec_pre
             self.comp_sums[g] = staged
             self.ae[g] = cand
             self.task_mse = self._task_from(self.out_pre)

@@ -95,6 +95,20 @@ def test_train_is_run_zero_of_a_sweep(tmp_path, monkeypatch, mode):
         assert path.read_bytes() == expected[kind].read_bytes(), kind
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--n", "9"], "n"), (["--k", "3"], "k"), (["--neighbors", "adjacent"], "neighbor_mode"),
+])
+def test_train_flags_disagreeing_with_landscape_exit_one(tmp_path, capsys, flags, field):
+    land = tmp_path / "land.json"
+    run_cli("gen-landscape", "--n", "8", "--k", "2", "--seed", "4", "--out", str(land))
+    out = tmp_path / "train"
+    assert run_cli("train", "--arch", "nn", "--landscape", str(land), "--n", "8", *flags,
+                   *TRAIN_FLAGS, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{flags[0]} {flags[1]} disagrees with {land}, whose {field} is" in err
+    assert not out.exists()
+
+
 def test_train_requires_cell_or_landscape(tmp_path):
     assert run_cli("train", "--arch", "nn", "--seed", "1",
                    "--out-dir", str(tmp_path)) == 1
@@ -206,6 +220,9 @@ def test_stats_compare_csv_format_to_file(tmp_path, values_a, values_b, errors):
     assert rows[0] == ["section", "field", "value"]
     assert all(len(row) == 3 for row in rows)
     assert {section: value for section, field, value in rows if field == "error"} == errors
+    # a missing value is an empty cell, as in results.csv
+    assert ["shapiro_b", "df", ""] in rows
+    assert all(value != "None" for _, _, value in rows)
 
 
 @pytest.mark.parametrize("row, message", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nkae import Dataset, EvalCache, ParameterError, TrainConfig, init_network
+from nkae import Dataset, EvalCache, ParameterError, TrainConfig, incremental, init_network
 from nkae import networks as nets
 from nkae.hillclimb import pick_coordinate
 
@@ -73,6 +73,99 @@ def test_random_walk_stays_consistent(arch, decoder_bias, decoder_activation):
         if step % 50 == 0:
             assert cache.scratch_divergence(ds) < 1e-12
     assert cache.scratch_divergence(ds) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1000])
+def test_carry_row_reduction_is_one_axis_0_sum(m):
+    """The blocked kernels rely on ``buf[:b + 1].sum(axis=0)``, with row 0
+    carrying the running sums, adding rows in the order of one
+    ``sum(axis=0)``; a numpy that reorders axis-0 reductions fails here."""
+    n = 37
+    squares = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, n)) ** 2
+    expected = squares.sum(axis=0)
+    for rows in sorted({1, 2, 3, 7, 64, 65, m}):
+        buf, sums = np.empty((rows + 1, n)), np.zeros(n)
+        for s in range(0, m, rows):
+            e = min(s + rows, m)
+            buf[1:e - s + 1] = squares[s:e]
+            buf[0] = sums
+            buf[:e - s + 1].sum(axis=0, out=sums)
+        assert np.array_equal(sums, expected), rows
+
+
+def assert_same_cache(a, b):
+    assert a.task_mse == b.task_mse
+    assert a.ae == b.ae
+    assert np.array_equal(a.comp_sums, b.comp_sums)
+    if a.net.arch == "ann":
+        assert np.array_equal(a.dec_pre, b.dec_pre)
+
+
+@pytest.mark.parametrize("elems", [16, 24], ids=["2-rows", "3-rows"])
+@pytest.mark.parametrize("decoder_bias, arch, decoder_activation", WALKS)
+def test_block_size_does_not_change_results(monkeypatch, elems, arch, decoder_bias,
+                                            decoder_activation):
+    # n=8 and 31 examples: blocks of 2 or 3 rows with a ragged last block
+    net, ds, whole = make_cache(arch, count=31, decoder_bias=decoder_bias,
+                                decoder_activation=decoder_activation)
+    monkeypatch.setattr(incremental, "BLOCK_ELEMS", elems)
+    blocked = EvalCache(net.copy(), ds)
+    if arch != "nn":
+        assert blocked._rows == elems // 8 and whole._rows == 31
+    assert_same_cache(blocked, whole)
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        coord = pick_coordinate(net, "task" if rng.random() < 0.3 else "autoencode", rng)
+        delta = float(rng.uniform(-1.0, 1.0))
+        assert blocked.propose(coord, delta) == whole.propose(coord, delta)
+        if rng.random() < 0.5:
+            blocked.accept()
+            whole.accept()
+        else:
+            blocked.reject()
+            whole.reject()
+        assert_same_cache(blocked, whole)
+    assert same_network(blocked.net, whole.net)
+
+
+def full_neuron_sums(net, j, act, X):
+    """Neuron j's per-component error sums through one (m, n) array, clamped."""
+    pre = np.multiply.outer(act, net.decoder[j])
+    if net.decoder_bias is not None:
+        pre += net.decoder_bias[j]
+    rec = nets.sigmoid_vec(pre, out=pre)
+    rec -= X
+    np.multiply(rec, rec, out=rec)
+    return rec.sum(axis=0)
+
+
+@pytest.mark.parametrize("decoder_bias", [False, True])
+def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
+    monkeypatch.setattr(incremental, "BLOCK_ELEMS", 24)
+    config = TrainConfig(seed=0, h=3, decoder_bias=decoder_bias)
+    net = init_network("nan", 8, config, np.random.default_rng(4))
+    # exp(1e6 * act) overflows unless the pre-activations are clamped
+    net.decoder[1, ::2] = -1e6
+    ds = make_dataset(8, 31, 104)
+    X = ds.inputs
+    with np.errstate(over="raise"):
+        cache = EvalCache(net, ds)
+        assert np.array_equal(cache.comp_sums[1], full_neuron_sums(net, 1, cache.h_act[:, 1], X))
+        rng = np.random.default_rng(6)
+        for step in range(20):
+            coord = nets.Coord("encoder", 1, step % 8) if step % 3 else nets.Coord("hidden_bias", 1, 0)
+            delta = float(rng.uniform(-1.0, 1.0))
+            candidate = cache.propose(coord, delta)
+            if step % 2:
+                cache.accept()
+                sums = full_neuron_sums(net, 1, cache.h_act[:, 1], X)
+                assert np.array_equal(cache.comp_sums[1], sums)
+                assert candidate == float(sums.sum()) / (31 * 8)
+            else:
+                cache.reject()
+                probe = net.copy()
+                probe.params[probe.index(coord)] += delta
+                assert abs(candidate - nets.neuron_ae_mse(probe, 1, ds)) < 1e-12
 
 
 def test_pending_protocol_enforced():

@@ -1,0 +1,118 @@
+"""Run the benchmark on another checkout and on this one, in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT_CHECKOUT --workload cell-n1000 --seeds 1-10 \
+        --out BENCH_name.json
+
+Pair i runs `benchmarks/run.py --workload W --seed S --trace T` once in each
+checkout, each with its own benchmark files, on seed S, the i-th of
+`--seeds`. Even-numbered pairs (from 0) run the parent first and odd ones
+the change first. Every run's metrics go to `--out`, with the environment
+the first run printed and, per metric, each side's median and quartiles and
+the number of pairs in which the change read better, worse or the same, by
+the direction `BENCHMARK.json` gives. An existing `--out` file keeps its
+other (workload, trace) entries, so one file can hold several workloads.
+Exits 1 if a run fails or its output checks fail.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _seeds(text: str) -> list:
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def _git_state(checkout: Path) -> str:
+    def git(*argv):
+        return subprocess.run(["git", "-C", str(checkout), *argv], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    return git("rev-parse", "--short", "HEAD") + (" with uncommitted changes"
+                                                  if git("status", "--porcelain") else "")
+
+
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> tuple:
+    """(metrics as name -> value, environment) of one benchmark run in `checkout`."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", str(trace)], cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: benchmark exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        sys.exit(f"{checkout}: output checks failed:\n{proc.stderr}")
+    environment = json.loads(proc.stderr.splitlines()[0])["environment"]
+    return {name: m["value"] for name, m in result["metrics"].items()}, environment
+
+
+def _spread(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list, better: dict) -> dict:
+    out = {}
+    for name in pairs[0]["parent"]:
+        parent = [pair["parent"][name] for pair in pairs]
+        change = [pair["change"][name] for pair in pairs]
+        sign = 1 if better.get(name, "lower") == "lower" else -1
+        diffs = [sign * (p - c) for p, c in zip(parent, change)]
+        out[name] = {
+            "better": better.get(name, "lower"),
+            "parent": _spread(parent),
+            "change": _spread(change),
+            "change_better": sum(d > 0 for d in diffs),
+            "change_worse": sum(d < 0 for d in diffs),
+            "same": sum(d == 0 for d in diffs),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare this one with")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=_seeds, required=True, help="e.g. 1-10 or 1,3,5")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write or extend")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "benchmarks" / "run.py").is_file():
+        parser.error(f"{parent} has no benchmarks/run.py")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    sides = {"parent": parent, "change": ROOT}
+    pairs, environment = [], None
+    for i, seed in enumerate(args.seeds):
+        pair = {"seed": seed, "first": "parent" if i % 2 == 0 else "change"}
+        for side in sorted(sides, key=lambda s: s != pair["first"]):
+            pair[side], env = run_once(sides[side], args.workload, seed, args.trace)
+            environment = environment or env
+        print(json.dumps(pair), flush=True)
+        pairs.append(pair)
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record["environment"] = environment
+    record["checkouts"] = {side: _git_state(path) for side, path in sides.items()}
+    record.setdefault("runs", {})[f"{args.workload} --trace {args.trace}"] = {
+        "pairs": pairs, "summary": summarize(pairs, better),
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

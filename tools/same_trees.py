@@ -8,11 +8,13 @@ thread, then compares the two output trees with `diff -r`, ignoring the
 wall-clock `timings.csv`. Exits 0 when every pair of trees is
 byte-identical and 1 otherwise, printing the files that differ.
 
-The eight configs are criterion 3's sweep (tests/test_acceptance.py), the
+The nine configs are criterion 3's sweep (tests/test_acceptance.py), the
 same sweep with decoder biases, with a tanh decoder, with a linear decoder,
 and with fresh data per run, adjacent neighbours and two worker processes,
-and the three benchmark workloads of `benchmarks/workloads.py` at seed 1,
-built as `benchmarks/child.py` builds them.
+one n=1000 nan+ann cell with decoder biases (its reconstruction kernels run
+in several blocks of examples, where every n=20 config runs in one), and the
+three benchmark workloads of `benchmarks/workloads.py` at seed 1, built as
+`benchmarks/child.py` builds them.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ def configs() -> dict:
         out[f"criterion-3-{name}"] = dict(criterion_3, train_config={"seed": 0, **extra})
     out["criterion-3-fresh-adjacent-pool"] = dict(
         criterion_3, fresh_data_per_run=True, neighbor_mode="adjacent", workers=2
+    )
+    out["n1000-decoder-bias"] = dict(
+        criterion_3, n_grid=[1000], archs=["nan", "ann"], runs=1,
+        train_config={"seed": 0, "iterations": 200, "decoder_bias": True},
     )
     bench = _workloads()
     for w in bench.WORKLOADS.values():
