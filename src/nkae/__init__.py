@@ -1,7 +1,7 @@
 """NK-landscape regression benchmarks for hill-climbed feedforward networks
 with per-neuron autoencoding."""
 
-from .errors import ParameterError, InapplicableTestError
+from .errors import InapplicableTestError, InternalError, ParameterError
 from .landscape import (
     Dataset,
     NkLandscape,

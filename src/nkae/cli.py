@@ -260,13 +260,17 @@ def _cmd_train(args) -> int:
                                 neighbor_mode=neighbors)
     [spec] = experiments.build_trial_specs(config)
     spec = replace(spec, cell_dir=args.out_dir)
+    # generate only the sets that no file supplies
+    files = (args.train_data, args.test_data)
+    wanted = [(count, seed) for path, count, seed in
+              zip(files, (spec.train_count, spec.test_count), (spec.train_seed, spec.test_seed))
+              if not path]
     if args.landscape:
-        datasets = (nkland.gen_dataset(land, spec.train_count, spec.train_seed),
-                    nkland.gen_dataset(land, spec.test_count, spec.test_seed))
+        generated = [nkland.gen_dataset(land, count, seed) for count, seed in wanted]
     else:
-        datasets = experiments.cell_datasets(spec)
-    datasets = [nkland.load_dataset(path) if path else generated
-                for path, generated in zip((args.train_data, args.test_data), datasets)]
+        generated = wanted and nkland.nk_datasets(n, k, spec.landscape_seed, wanted, neighbors)
+    generated = iter(generated)
+    datasets = [nkland.load_dataset(path) if path else next(generated) for path in files]
     result = experiments.run_trial(spec, datasets)
     print(f"final train task MSE: {result.final_train_mse!r}")
     print(f"final test task MSE: {result.final_test_mse!r}")

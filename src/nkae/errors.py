@@ -7,3 +7,7 @@ class ParameterError(ValueError):
 
 class InapplicableTestError(ValueError):
     """A statistical test's preconditions are not met by the given sample."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant of the package failed: a bug, not bad input."""

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
-from .incremental import EvalCache
+from .errors import InternalError, ParameterError
+from .incremental import AUDIT_TOL, EvalCache, scratch_divergence, scratch_objectives
 from .landscape import Dataset
 from . import networks as nets
 from .networks import TASK_LAYERS, Coord, parse_coord
@@ -99,6 +99,8 @@ class RunLog:
     final_train_task_mse: float = 0.0
     final_test_task_mse: float | None = None
     final_ae_mse: float | None = None
+    # max |cached - from-scratch| objective over the final network; see `train`
+    audit_divergence: float | None = None
 
 
 def choose_cycle(rng: np.random.Generator, config: TrainConfig) -> str:
@@ -151,12 +153,13 @@ def propose_and_test(
     return accepted, CycleRecord(iteration, kind, coord, delta, before, after, accepted)
 
 
-def _snapshot(network, train_set, test_set, iteration):
+def _snapshot(cache, test_set, iteration):
+    """Train-set values from the cache; the test-set task MSE from scratch."""
     return Snapshot(
         iteration,
-        nets.task_mse(network, train_set),
-        nets.ae_mse(network, train_set),
-        None if test_set is None else nets.task_mse(network, test_set),
+        cache.task_mse,
+        nets.mean_ae_mse(cache.ae),
+        None if test_set is None else nets.task_mse(cache.net, test_set),
     )
 
 
@@ -168,10 +171,17 @@ def train(
 ) -> tuple[object, RunLog]:
     """Run the full hill climb; returns the incumbent network and its log.
 
-    Per-cycle objectives come from the incremental `EvalCache`. Snapshot
-    MSEs are recomputed from scratch by the `networks` evaluators every
-    `eval_interval` cycles; nothing compares them with the cache. The final
-    metrics are those of a snapshot of the final network.
+    Per-cycle objectives come from the incremental `EvalCache`, and so do
+    the train-set values of every snapshot taken before the last cycle; the
+    test-set task MSE is evaluated from scratch. After the last cycle the
+    cache is dropped, which frees ann's (m, n) decoder pre-activations, and
+    the final network is scored from scratch once: task MSE on both sets and
+    every judge's reconstruction MSE. Those are the final metrics, and the
+    last snapshot when `eval_interval` divides `iterations`.
+
+    That pass also audits the cache: `log.audit_divergence` is the max
+    |cached - from-scratch| over the task MSE and every judge. Above
+    `AUDIT_TOL` (or NaN) it raises InternalError.
     """
     if arch not in nets.ARCHS:
         raise ParameterError(f"arch must be one of {nets.ARCHS}, got {arch!r}")
@@ -191,18 +201,24 @@ def train(
         coord = pick_coordinate(network, kind, rng)
         _, record = propose_and_test(cache, coord, rng, config, iteration=iteration)
         records.append(record)
-        if iteration % config.eval_interval == 0:
-            log.snapshots.append(_snapshot(network, train_set, test_set, iteration))
-    # the last snapshot, when one was taken after the last cycle, already
-    # holds the final network's metrics
-    if config.iterations % config.eval_interval == 0:
-        final = log.snapshots[-1]
-    else:
-        final = _snapshot(network, train_set, test_set, config.iterations)
+        if iteration % config.eval_interval == 0 and iteration < config.iterations:
+            log.snapshots.append(_snapshot(cache, test_set, iteration))
+    cached = cache.task_mse, cache.ae
+    del cache  # frees ann's (m, n) dec_pre before the scratch pass allocates its own
+    scratch = scratch_objectives(network, train_set)
+    log.audit_divergence = scratch_divergence(cached, scratch)
+    if not log.audit_divergence <= AUDIT_TOL:
+        raise InternalError(
+            f"{arch} run with seed {config.seed}: the incremental cache is "
+            f"{log.audit_divergence!r} from the from-scratch objectives (> {AUDIT_TOL})"
+        )
     log.final_network = network.copy()
-    log.final_train_task_mse = final.train_task_mse
-    log.final_ae_mse = final.train_ae_mse
-    log.final_test_task_mse = final.test_task_mse
+    log.final_train_task_mse = scratch[0]
+    log.final_ae_mse = nets.mean_ae_mse(scratch[1])
+    log.final_test_task_mse = None if test_set is None else nets.task_mse(network, test_set)
+    if config.iterations % config.eval_interval == 0:
+        log.snapshots.append(Snapshot(config.iterations, log.final_train_task_mse,
+                                      log.final_ae_mse, log.final_test_task_mse))
     return network, log
 
 

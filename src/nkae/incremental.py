@@ -29,8 +29,10 @@ pre-activations ``dec_pre``, which an accepted ann hidden proposal updates
 in place, block by block.
 
 Correctness is defined by the from-scratch evaluators in ``networks``;
-``scratch_divergence`` measures the gap, which stays below 1e-12 over any
-mutation sequence the trainer produces.
+``scratch_divergence`` measures the gap between the cached ``(task_mse,
+ae)`` and ``scratch_objectives``, which stays below ``AUDIT_TOL`` over any
+mutation sequence the trainer produces. The trainer audits every run this
+way once, after its last cycle.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ import numpy as np
 from .errors import ParameterError
 from . import networks as nets
 from .networks import TASK_LAYERS, Coord
+
+# The largest |cached - from-scratch| objective gap a run's audit tolerates.
+AUDIT_TOL = 1e-12
 
 # Elements per block of examples in the reconstruction kernels: 2**16
 # float64 (512 KiB) stays in L2, and at n <= 65 a 1000-example set is one block.
@@ -146,7 +151,7 @@ class EvalCache:
                         blk += part
             if activation == "sigmoid":
                 if clip:
-                    np.clip(blk, -nets.CLAMP, nets.CLAMP, out=blk)
+                    nets.clip_ufunc(blk, -nets.CLAMP, nets.CLAMP, out=blk)
                 np.exp(blk, out=blk)
                 blk += 1.0
                 np.reciprocal(blk, out=blk)
@@ -281,16 +286,18 @@ class EvalCache:
             raise ParameterError("no proposal is pending")
         self._pending = None
 
-    # -- audit -----------------------------------------------------------------
 
-    def scratch_divergence(self, dataset) -> float:
-        """Max |cached - from-scratch| over every objective this cache tracks."""
-        net = self.net
-        worst = abs(self.task_mse - nets.task_mse(net, dataset))
-        if net.arch == "nan":
-            scratch = [nets.neuron_ae_mse(net, j, dataset) for j in range(self.h)]
-        else:
-            scratch = [nets.layer_ae_mse(net, dataset)] if net.arch == "ann" else []
-        for cached, value in zip(self.ae, scratch):
-            worst = max(worst, abs(cached - value))
-        return worst
+# -- audit ---------------------------------------------------------------------
+
+def scratch_objectives(network, dataset) -> tuple[float, list[float]]:
+    """``(task_mse, ae)`` of `network` on `dataset` from scratch: the values an
+    `EvalCache` on them tracks."""
+    return nets.task_mse(network, dataset), nets.judge_ae_mses(network, dataset)
+
+
+def scratch_divergence(cached, scratch) -> float:
+    """Max |cached - scratch| over the task MSE and every judge's reconstruction
+    MSE; both arguments are ``(task_mse, ae)`` pairs."""
+    (task, ae), (scratch_task, scratch_ae) = cached, scratch
+    gaps = [abs(a - b) for a, b in zip(ae, scratch_ae, strict=True)]
+    return max([abs(task - scratch_task), *gaps])

@@ -38,6 +38,7 @@ from nkae.experiments import (
     emit_series,
 )
 from nkae.hillclimb import pick_coordinate
+from nkae.incremental import scratch_divergence, scratch_objectives
 
 from conftest import record_acceptance
 from oracles import (
@@ -161,7 +162,8 @@ def test_criterion_4_incremental_equivalence():
                 cache.accept()
             else:
                 cache.reject()
-            worst = max(worst, cache.scratch_divergence(dataset))
+            worst = max(worst, scratch_divergence((cache.task_mse, cache.ae),
+                                                    scratch_objectives(net, dataset)))
         worst_overall = max(worst_overall, worst)
     ok = worst_overall < 1e-12
     check(4, ok, f"30000 mutate/accept/reject steps, max |cached - naive| = "

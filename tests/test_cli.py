@@ -12,6 +12,8 @@ from nkae import derive_seed, load_dataset, load_landscape
 from nkae.cli import cli_main
 from nkae.experiments import PURPOSE_LANDSCAPE, PURPOSE_TEST_DATA, PURPOSE_TRAIN_DATA, run_paths
 
+from test_hillclimb import corrupt_first_judge
+
 
 def run_cli(*argv):
     return cli_main(list(argv))
@@ -66,7 +68,8 @@ TRAIN_FLAGS = ["--iterations", "60", "--h", "3", "--eval-interval", "20",
                "--train-count", "25", "--test-count", "25", "--seed", "5"]
 
 
-@pytest.mark.parametrize("mode", ["cell", "landscape", "data-files"])
+@pytest.mark.parametrize("mode", ["cell", "landscape", "data-files", "landscape-data-files",
+                                  "test-data-file"])
 def test_train_is_run_zero_of_a_sweep(tmp_path, monkeypatch, mode):
     n, k = 8, 2
     sweep = tmp_path / "sweep"
@@ -76,18 +79,26 @@ def test_train_is_run_zero_of_a_sweep(tmp_path, monkeypatch, mode):
     land = tmp_path / "land.json"
     run_cli("gen-landscape", *cell, "--seed", str(derive_seed(5, PURPOSE_LANDSCAPE, n, k)),
             "--out", str(land))
-    inputs = {"cell": cell, "landscape": ["--landscape", str(land)], "data-files": cell}[mode]
-    if mode == "data-files":
-        for name, purpose in (("train", PURPOSE_TRAIN_DATA), ("test", PURPOSE_TEST_DATA)):
-            path = tmp_path / f"{name}.csv"
-            run_cli("gen-dataset", "--landscape", str(land), "--count", "25",
-                    "--seed", str(derive_seed(5, purpose, n, k)), "--out", str(path))
-            inputs = inputs + [f"--{name}-data", str(path)]
+    inputs = ["--landscape", str(land)] if mode.startswith("landscape") else cell
+    files = {"data-files": ("train", "test"), "test-data-file": ("test",)}.get(
+        mode.removeprefix("landscape-"), ())
+    for name in files:
+        purpose = {"train": PURPOSE_TRAIN_DATA, "test": PURPOSE_TEST_DATA}[name]
+        path = tmp_path / f"{name}.csv"
+        run_cli("gen-dataset", "--landscape", str(land), "--count", "25",
+                "--seed", str(derive_seed(5, purpose, n, k)), "--out", str(path))
+        inputs = inputs + [f"--{name}-data", str(path)]
 
-    def materialise(*args):
-        raise AssertionError("nkae train built a landscape's full tables")
+    def fail(what):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"nkae train called {what}")
+        return raiser
 
-    monkeypatch.setattr(nkae.landscape, "nk_new", materialise)
+    monkeypatch.setattr(nkae.landscape, "nk_new", fail("nk_new"))
+    if len(files) == 2:
+        # both sets come from files, so nothing is generated
+        monkeypatch.setattr(nkae.landscape, "nk_datasets", fail("nk_datasets"))
+        monkeypatch.setattr(nkae.landscape, "gen_dataset", fail("gen_dataset"))
     out = tmp_path / "train"
     assert run_cli("train", "--arch", "ann", *inputs, *TRAIN_FLAGS, "--out-dir", str(out)) == 0
     expected = run_paths(sweep / f"n{n}_k{k}", "ann", 0)
@@ -324,6 +335,17 @@ def test_internal_failure_exits_three(tmp_path, monkeypatch, capsys):
     code = run_cli("sweep", "--n-grid", "8", "--k-grid", "2", "--runs", "2",
                    "--seed", "1", "--out-dir", str(tmp_path / "s"))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--arch", "ann", "--n", "8", "--k", "2"],
+    ["sweep", "--n-grid", "8", "--k-grid", "2", "--archs", "ann", "--runs", "1"],
+])
+def test_corrupted_cache_exits_three(tmp_path, monkeypatch, capsys, command):
+    corrupt_first_judge(monkeypatch)
+    code = run_cli(*command, "--p-autoencode", "0", *TRAIN_FLAGS, "--out-dir", str(tmp_path))
+    assert code == 3
+    assert "InternalError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

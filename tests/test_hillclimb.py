@@ -1,10 +1,13 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nkae import Dataset, EvalCache, ParameterError, TrainConfig, init_network
-from nkae import gen_dataset, nk_new
+from nkae import Dataset, EvalCache, InternalError, ParameterError, TrainConfig, init_network
+from nkae import ExperimentConfig, gen_dataset, nk_new, run_experiment
+from nkae import experiments
 from nkae import networks as nets
 from nkae.hillclimb import (
     CYCLE_HEADER,
@@ -273,17 +276,103 @@ def test_final_snapshot_matches_final_network():
 @pytest.mark.parametrize("iterations", [60, 50])
 def test_final_metrics_evaluated_once(monkeypatch, iterations):
     train_set, test_set = make_cell()
-    calls = []
-    ae_mse = nets.ae_mse
-    monkeypatch.setattr(nets, "ae_mse", lambda *args: calls.append(1) or ae_mse(*args))
+    calls = Counter()
+    evaluators = {name: getattr(nets, name)
+                  for name in ("task_mse", "neuron_ae_mse", "layer_ae_mse")}
+    for name, evaluate in evaluators.items():
+        def counted(network, *args, _name=name, _evaluate=evaluate):
+            calls[_name, args[-1] is train_set] += 1
+            return _evaluate(network, *args)
+
+        monkeypatch.setattr(nets, name, counted)
     config = TrainConfig(seed=24, iterations=iterations, h=3, eval_interval=20)
-    net, log = train("ann", train_set, test_set, config)
-    # one evaluation per snapshot, plus one of the final network only when
-    # no snapshot was taken after the last cycle
-    assert len(calls) == len(log.snapshots) + (iterations % 20 != 0)
-    assert log.final_ae_mse == ae_mse(net, train_set)
-    assert log.final_train_task_mse == nets.task_mse(net, train_set)
-    assert log.final_test_task_mse == nets.task_mse(net, test_set)
+    # snapshots read the train-set values from the cache, whatever their
+    # count: the final network alone is scored from scratch on it, once per judge
+    judges = {"nan": {("neuron_ae_mse", True): 3}, "ann": {("layer_ae_mse", True): 1}, "nn": {}}
+    for arch, judge_calls in judges.items():
+        calls.clear()
+        net, log = train(arch, train_set, test_set, config)
+        test_calls = len(log.snapshots) + (iterations % 20 != 0)
+        assert calls == {("task_mse", True): 1, ("task_mse", False): test_calls, **judge_calls}
+        assert log.final_train_task_mse == evaluators["task_mse"](net, train_set)
+        assert log.final_test_task_mse == evaluators["task_mse"](net, test_set)
+        if arch == "nan":
+            expected_ae = 0.0
+            for j in range(3):
+                expected_ae += evaluators["neuron_ae_mse"](net, j, train_set)
+            expected_ae /= 3
+        else:
+            expected_ae = evaluators["layer_ae_mse"](net, train_set) if arch == "ann" else None
+        assert log.final_ae_mse == expected_ae
+        assert 0.0 <= log.audit_divergence <= 1e-12
+
+
+@pytest.mark.parametrize("decoder_bias", [False, True])
+@pytest.mark.parametrize("arch", ["nan", "ann", "nn"])
+def test_snapshots_within_1e12_of_scratch_and_last_row_is_the_result(tmp_path, arch,
+                                                                      decoder_bias):
+    config = ExperimentConfig(
+        master_seed=27, out_dir=tmp_path, n_grid=(10,), k_grid=(3,), archs=(arch,), runs=1,
+        train_config=TrainConfig(iterations=300, h=3, eval_interval=30,
+                                 decoder_bias=decoder_bias),
+        train_count=60, test_count=40,
+    )
+    run_experiment(config)
+    [spec] = experiments.build_trial_specs(config)
+    train_set, test_set = experiments.cell_datasets(spec)
+    paths = experiments.run_paths(spec.cell_dir, arch, 0)
+    records = read_cycle_log(paths["cycles"])
+    snapshots = read_snapshot_log(paths["snapshots"])
+    assert [s.iteration for s in snapshots] == list(range(30, 301, 30))
+    train_config = replace(spec.train_config, seed=spec.trial_seed)
+    for snap in snapshots:
+        net = replay_final_network(arch, 10, train_config, records[:snap.iteration])
+        scratch = (nets.task_mse(net, train_set), nets.ae_mse(net, train_set),
+                   nets.task_mse(net, test_set))
+        values = (snap.train_task_mse, snap.train_ae_mse, snap.test_task_mse)
+        if arch == "nn":
+            assert values[1] is None and scratch[1] is None
+            values, scratch = values[::2], scratch[::2]
+        assert max(abs(a - b) for a, b in zip(values, scratch)) <= 1e-12, snap.iteration
+    [row] = experiments.load_results_csv(tmp_path / "results.csv")
+    last = snapshots[-1]
+    assert (last.train_task_mse, last.train_ae_mse, last.test_task_mse) == (
+        row.final_train_mse, row.final_ae_mse, row.final_test_mse)
+
+
+def corrupt_first_judge(monkeypatch):
+    """Every new EvalCache starts with ae[0] 1e-9 off its true value."""
+    refresh = EvalCache.refresh
+
+    def corrupted(cache):
+        refresh(cache)
+        cache.ae[0] += 1e-9
+
+    monkeypatch.setattr(EvalCache, "refresh", corrupted)
+
+
+def test_corrupted_cache_fails_the_audit(monkeypatch):
+    train_set, test_set = make_cell()
+    corrupt_first_judge(monkeypatch)
+    # task cycles only, so no accepted autoencode proposal rewrites ae[0]
+    config = TrainConfig(seed=25, iterations=40, h=3, p_autoencode=0.0)
+    with pytest.raises(InternalError, match="from the from-scratch objectives"):
+        train("ann", train_set, test_set, config)
+
+
+def test_ann_decoder_state_and_scratch_pass_never_coexist():
+    m, n = 1000, 400
+    train_set, test_set = make_dataset(n, m, 1), make_dataset(n, m, 2)
+    config = TrainConfig(seed=26, iterations=40, h=3, eval_interval=10)
+    tracemalloc.start()
+    try:
+        train("ann", train_set, test_set, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the datasets: the cache's (m, n) dec_pre or the final from-scratch
+    # pass's (m, n) temporary, never both, plus (m, h) arrays and a 0.5 MiB block buffer
+    assert peak < 1.5 * m * n * 8
 
 
 # --- log files --------------------------------------------------------------------------

@@ -6,7 +6,11 @@ Runs each sweep config below from both source trees (`src/` of this
 checkout and of PARENT_CHECKOUT), each in a fresh interpreter with one BLAS
 thread, then compares the two output trees with `diff -r`, ignoring the
 wall-clock `timings.csv`. Exits 0 when every pair of trees is
-byte-identical and 1 otherwise, printing the files that differ.
+byte-identical and 1 otherwise, printing the files that differ. For a
+`*_snapshots.csv` that differs it also prints the largest |difference| over
+its numeric cells, and whether the `iter` column, the empty cells and the
+last row match: snapshot values that agree to 1e-12 still count as a
+difference.
 
 The nine configs are criterion 3's sweep (tests/test_acceptance.py), the
 same sweep with decoder biases, with a tanh decoder, with a linear decoder,
@@ -23,6 +27,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -81,6 +86,22 @@ def configs() -> dict:
     return out
 
 
+def snapshot_difference(a: Path, b: Path) -> str:
+    """How two snapshot logs differ, cell by cell, after their header."""
+    tables = [[line.split(",") for line in path.read_text().splitlines()[1:]] for path in (a, b)]
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return "row or cell counts differ"
+    rows = list(zip(*tables))
+    iters = all(x[0] == y[0] for x, y in rows)
+    pairs = [(u, v) for x, y in rows for u, v in zip(x[1:], y[1:])]
+    empty = all((u == "") == (v == "") for u, v in pairs)
+    delta = max((abs(float(u) - float(v)) for u, v in pairs if u and v), default=0.0)
+    last = rows[-1][0] == rows[-1][1] if rows else True
+    return (f"max |delta| {delta:.3g}; iter column {'matches' if iters else 'DIFFERS'}; "
+            f"empty cells {'match' if empty else 'DIFFER'}; "
+            f"last row {'matches' if last else 'DIFFERS'}")
+
+
 def run_sweep(checkout: Path, spec: dict, out_dir: Path) -> None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run(
@@ -111,7 +132,10 @@ def main(argv=None) -> int:
             if diff.returncode == 0:
                 print(f"{name}: byte-identical ({files} files)", flush=True)
             else:
-                print(f"{name}: DIFFERENT\n{diff.stdout}{diff.stderr}", flush=True)
+                print(f"{name}: DIFFERENT\n{diff.stdout}{diff.stderr}", end="", flush=True)
+                for a, b in re.findall(r"^Files (\S+) and (\S+) differ$", diff.stdout, re.M):
+                    if a.endswith("_snapshots.csv"):
+                        print(f"  {Path(a).name}: {snapshot_difference(Path(a), Path(b))}")
                 failed.append(name)
     if failed:
         print(f"trees differ for: {', '.join(failed)}")
