@@ -22,7 +22,7 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ParameterError
+from .errors import ParameterError, read_text
 from . import experiments, hillclimb, landscape as nkland, networks as nets, stats
 
 
@@ -76,6 +76,12 @@ def _add_train_flags(parser, include_arch=True):
                         help="give decoder nodes biases (default: off)")
     parser.add_argument("--eval-interval", type=int, default=100,
                         help="snapshot period in cycles (default: %(default)s)")
+    parser.add_argument("--train-count", type=int, default=1000,
+                        help="generated training examples per cell (default: %(default)s)")
+    parser.add_argument("--test-count", type=int, default=1000,
+                        help="generated test examples per cell (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
+    parser.add_argument("--out-dir", required=True, help="output directory")
 
 
 def _experiment_config(args, seed, **grid) -> experiments.ExperimentConfig:
@@ -132,12 +138,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="epistasis degree when generating data")
     p.add_argument("--neighbors", default=None, choices=nkland.NEIGHBOR_MODES,
                    help="epistatic partner scheme when generating data (default: random)")
-    p.add_argument("--train-count", type=int, default=1000,
-                   help="generated training examples (default: %(default)s)")
-    p.add_argument("--test-count", type=int, default=1000,
-                   help="generated test examples (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
-    p.add_argument("--out-dir", required=True, help="directory for run artifacts")
 
     p = sub.add_parser("sweep", help="run the full multi-run experiment grid",
                        description="Sweep (n, k, arch) cells; the default grid covers "
@@ -152,18 +152,13 @@ def build_parser() -> _Parser:
                    help="comma-separated architectures (default: nan,ann,nn)")
     p.add_argument("--runs", type=int, default=20,
                    help="independent runs per cell (default: %(default)s)")
-    p.add_argument("--train-count", type=int, default=1000,
-                   help="training examples per cell (default: %(default)s)")
-    p.add_argument("--test-count", type=int, default=1000,
-                   help="test examples per cell (default: %(default)s)")
-    p.add_argument("--neighbors", default="random", choices=nkland.NEIGHBOR_MODES)
+    p.add_argument("--neighbors", default="random", choices=nkland.NEIGHBOR_MODES,
+                   help="epistatic partner scheme (default: %(default)s)")
     p.add_argument("--fresh-data-per-run", action="store_true",
                    help="sample a new dataset pair for every run instead of per cell")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel trial processes, at most one per pending trial "
                         "and per CPU (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
-    p.add_argument("--out-dir", required=True, help="sweep output directory")
 
     p = sub.add_parser("stats", help="statistical reports over result files",
                        description="Statistical comparison of two result samples.")
@@ -194,7 +189,7 @@ def build_parser() -> _Parser:
 
 def _load_sample(path: str, column: str) -> list:
     """Read a sample vector: a results-style CSV column or one value per line."""
-    text = Path(path).read_text(encoding="utf-8").strip()
+    text = read_text(path).strip()
     if not text:
         raise ParameterError(f"{path} is empty")
     lines = text.split("\n")
@@ -262,13 +257,11 @@ def _cmd_train(args) -> int:
     spec = replace(spec, cell_dir=args.out_dir)
     # generate only the sets that no file supplies
     files = (args.train_data, args.test_data)
-    wanted = [(count, seed) for path, count, seed in
-              zip(files, (spec.train_count, spec.test_count), (spec.train_seed, spec.test_seed))
-              if not path]
+    wanted = [request for path, request in zip(files, spec.data.requests) if not path]
     if args.landscape:
         generated = [nkland.gen_dataset(land, count, seed) for count, seed in wanted]
     else:
-        generated = wanted and nkland.nk_datasets(n, k, spec.landscape_seed, wanted, neighbors)
+        generated = wanted and nkland.nk_datasets(n, k, spec.data.landscape_seed, wanted, neighbors)
     generated = iter(generated)
     datasets = [nkland.load_dataset(path) if path else next(generated) for path in files]
     result = experiments.run_trial(spec, datasets)

@@ -100,10 +100,7 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 raise ParameterError(f"{name} repeats a value: {values}")
         for n, k in itertools.product(self.n_grid, self.k_grid):
-            if n < 2 or not 1 <= k <= min(nkland.MAX_K, n - 1):
-                raise ParameterError(
-                    f"grid cell (n={n}, k={k}) violates 1 <= k <= min({nkland.MAX_K}, n-1)"
-                )
+            nkland.check_size(n, k)
 
 
 @dataclass
@@ -119,23 +116,35 @@ class TrialResult:
     duration_ms: float | None = None
 
 
+@dataclass(frozen=True)
+class DataSpec:
+    """Everything `landscape.nk_datasets` takes; trials share data exactly when these are equal.
+
+    `requests` is ((train_count, train_seed), (test_count, test_seed)).
+    """
+
+    n: int
+    k: int
+    landscape_seed: int
+    requests: tuple
+    neighbor_mode: str
+
+
 @dataclass
 class TrialSpec:
     """Everything one trial needs; picklable for the worker pool."""
 
-    n: int
-    k: int
+    data: DataSpec
     arch: str
     run: int
-    landscape_seed: int
-    train_seed: int
-    test_seed: int
     trial_seed: int
-    neighbor_mode: str
-    train_count: int
-    test_count: int
     train_config: hillclimb.TrainConfig
     cell_dir: str
+
+
+def cell_dir(out_dir, n: int, k: int) -> Path:
+    """The directory of grid cell (n, k) in a sweep's output tree."""
+    return Path(out_dir) / f"n{n}_k{k}"
 
 
 def run_paths(directory, arch: str, run: int) -> dict:
@@ -150,24 +159,14 @@ def run_paths(directory, arch: str, run: int) -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _cell_datasets(n, k, neighbor_mode, landscape_seed, train_count, train_seed,
-                   test_count, test_seed):
+def cell_datasets(data: DataSpec) -> tuple:
     """One cell's read-only (train, test) pair, kept while consecutive trials share it."""
-    datasets = nkland.nk_datasets(
-        n, k, landscape_seed, [(train_count, train_seed), (test_count, test_seed)], neighbor_mode
-    )
+    datasets = nkland.nk_datasets(data.n, data.k, data.landscape_seed, data.requests,
+                                  data.neighbor_mode)
     for dataset in datasets:
         dataset.inputs.flags.writeable = False
         dataset.targets.flags.writeable = False
     return tuple(datasets)
-
-
-def cell_datasets(spec: TrialSpec) -> tuple:
-    """The trial's generated (train, test) pair, shared by consecutive trials of its cell."""
-    return _cell_datasets(
-        spec.n, spec.k, spec.neighbor_mode, spec.landscape_seed,
-        spec.train_count, spec.train_seed, spec.test_count, spec.test_seed,
-    )
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -184,7 +183,7 @@ def _write_atomic(path: Path, write) -> None:
 def run_trial(spec: TrialSpec, datasets=None) -> TrialResult:
     """Train on `datasets` (default: the cell's, regenerated from seeds) and write the artifacts."""
     paths = run_paths(spec.cell_dir, spec.arch, spec.run)
-    train_set, test_set = cell_datasets(spec) if datasets is None else datasets
+    train_set, test_set = cell_datasets(spec.data) if datasets is None else datasets
     config = replace(spec.train_config, seed=spec.trial_seed)
     start = time.perf_counter()
     network, log = hillclimb.train(spec.arch, train_set, test_set, config)
@@ -194,7 +193,7 @@ def run_trial(spec: TrialSpec, datasets=None) -> TrialResult:
     _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
     _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
     result = TrialResult(
-        spec.n, spec.k, spec.arch, spec.run, spec.trial_seed,
+        spec.data.n, spec.data.k, spec.arch, spec.run, spec.trial_seed,
         log.final_train_task_mse, log.final_test_task_mse, log.final_ae_mse,
         duration_ms,
     )
@@ -219,7 +218,7 @@ def _load_trial_result(spec: TrialSpec) -> TrialResult:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ParameterError(f"{path}: invalid {key} {value!r}")
         values.append(value)
-    identity = (spec.n, spec.k, spec.arch, spec.run, spec.trial_seed)
+    identity = (spec.data.n, spec.data.k, spec.arch, spec.run, spec.trial_seed)
     if tuple(values[:5]) != identity:
         raise ParameterError(
             f"{path}: holds trial {tuple(values[:5])}, expected (n, k, arch, run, seed) = {identity}"
@@ -235,27 +234,19 @@ def build_trial_specs(config: ExperimentConfig) -> list[TrialSpec]:
     specs = []
     master = config.master_seed
     for n, k in itertools.product(config.n_grid, config.k_grid):
-        cell_dir = str(config.out_dir / f"n{n}_k{k}")
+        directory = str(cell_dir(config.out_dir, n, k))
         landscape_seed = derive_seed(master, PURPOSE_LANDSCAPE, n, k)
         # run-major, so that trials sharing a dataset pair are adjacent
         for run in range(config.runs):
             data_run = run if config.fresh_data_per_run else 0
+            requests = (
+                (config.train_count, derive_seed(master, PURPOSE_TRAIN_DATA, n, k, run=data_run)),
+                (config.test_count, derive_seed(master, PURPOSE_TEST_DATA, n, k, run=data_run)),
+            )
+            data = DataSpec(n, k, landscape_seed, requests, config.neighbor_mode)
             for arch in config.archs:
-                code = ARCH_CODES[arch]
-                specs.append(
-                    TrialSpec(
-                        n, k, arch, run,
-                        landscape_seed,
-                        derive_seed(master, PURPOSE_TRAIN_DATA, n, k, run=data_run),
-                        derive_seed(master, PURPOSE_TEST_DATA, n, k, run=data_run),
-                        derive_seed(master, PURPOSE_TRIAL, n, k, code, run),
-                        config.neighbor_mode,
-                        config.train_count,
-                        config.test_count,
-                        config.train_config,
-                        cell_dir,
-                    )
-                )
+                trial_seed = derive_seed(master, PURPOSE_TRIAL, n, k, ARCH_CODES[arch], run)
+                specs.append(TrialSpec(data, arch, run, trial_seed, config.train_config, directory))
     return specs
 
 
@@ -302,7 +293,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
         else:
             results.extend(run_trial(s) for s in pending)
     finally:
-        _cell_datasets.cache_clear()
+        cell_datasets.cache_clear()
     results.sort(key=lambda r: (r.n, r.k, r.arch, r.run))
     write_results_csv(results, config.out_dir / "results.csv")
     lines = ["n,k,arch,run,duration_ms"]
@@ -355,7 +346,7 @@ def _cell_snapshot_series(out_dir, results, n, k, arch):
         raise FileNotFoundError(f"no runs recorded for n={n}, k={k}, arch={arch}")
     all_snaps = []
     for run in runs:
-        path = Path(out_dir) / f"n{n}_k{k}" / f"{arch}_run{run:02d}_snapshots.csv"
+        path = run_paths(cell_dir(out_dir, n, k), arch, run)["snapshots"]
         all_snaps.append(hillclimb.read_snapshot_log(path))
     iters = [s.iteration for s in all_snaps[0]]
     for snaps in all_snaps:
@@ -407,7 +398,7 @@ def _emit_curves(out_dir, figure, n, k, archs, columns) -> Path:
         for idx, it in enumerate(iters):
             cells = ["" if mean is None else repr(float(mean[idx])) for mean in means]
             lines.append(",".join([str(it), arch, *cells]))
-    path = out_dir / f"{figure}_n{n}_k{k}.csv"
+    path = out_dir / f"{figure}_{cell_dir(out_dir, n, k).name}.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

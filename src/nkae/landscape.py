@@ -10,13 +10,14 @@ in gene order (left to right, float64), so results reproduce bit-for-bit.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, read_text
 
 MAX_K = 15
 NEIGHBOR_MODES = ("random", "adjacent")
@@ -29,7 +30,7 @@ def check_neighbor_mode(neighbor_mode):
         )
 
 
-def _check_size(n, k):
+def check_size(n, k):
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     if not 1 <= k <= min(MAX_K, n - 1):
@@ -75,7 +76,8 @@ class NkLandscape:
         self._validate()
 
     def _validate(self):
-        _check_size(self.n, self.k)
+        check_size(self.n, self.k)
+        check_neighbor_mode(self.neighbor_mode)
         _check_neighbors(self.n, self.k, self.neighbors)
         if self.tables.shape != (self.n, 2 ** (self.k + 1)):
             raise ParameterError(f"tables must have shape ({self.n}, {2 ** (self.k + 1)})")
@@ -116,7 +118,7 @@ class Dataset:
 
 def _draw_neighbors(rng, n, k, neighbor_mode):
     """Gene by gene: uniform without replacement, or the next k indices cyclically."""
-    _check_size(n, k)
+    check_size(n, k)
     check_neighbor_mode(neighbor_mode)
     neighbors = np.empty((n, k), dtype=np.int64)
     if neighbor_mode == "adjacent":
@@ -300,7 +302,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Read examples written by `save_dataset`; malformed content raises ParameterError."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with io.StringIO(read_text(path)) as fh:
         header = fh.readline().strip().split(",")
         n = len(header) - 1
         if n < 1 or header != [f"x{i + 1}" for i in range(n)] + ["y"]:
@@ -328,7 +330,7 @@ def load_dataset(path) -> Dataset:
     if mp.exists():
         try:
             meta = json.loads(mp.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ParameterError(f"{mp}: {exc}") from None
     data = np.asarray(rows)
     return Dataset(np.ascontiguousarray(data[:, :n]), np.ascontiguousarray(data[:, n]), meta)

@@ -313,7 +313,12 @@ def save_network(network: Network, path) -> None:
 
 def load_network(path) -> Network:
     """Read a `save_network` snapshot, checking every block against the layout."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParameterError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParameterError(f"{path}: a network snapshot must be a JSON object")
 
     def field(key):
         if key not in payload:

@@ -92,13 +92,13 @@ def test_criterion_2_monotonicity_suite():
     for arch in ("nn", "nan", "ann"):
         for seed in range(5):
             config = TrainConfig(seed=seed + 100)
-            _, log = train(arch, train_set, None, config)
+            net, log = train(arch, train_set, None, config)
             runs += 1
             violations = monotonicity_violations(arch, log.records)
             if violations:
                 problems.append(f"{arch}/seed{seed}: {violations[0]}")
             replayed = replay_final_network(arch, 20, config, log.records)
-            if not same_network(replayed, log.final_network):
+            if not same_network(replayed, net):
                 problems.append(f"{arch}/seed{seed}: rejected proposal leaked a mutation")
             if len(log.snapshots) != 100:
                 problems.append(f"{arch}/seed{seed}: {len(log.snapshots)} snapshots")

@@ -289,6 +289,8 @@ def write_landscape(path, case):
         del payload["tables"]
     elif case == "nan entry":
         payload["tables"][2][1] = float("nan")
+    elif case == "unknown neighbor mode":
+        payload["neighbor_mode"] = "bogus"
     text = json.dumps(payload)
     path.write_text(text[: len(text) // 2] if case == "not json" else text)
 
@@ -297,6 +299,7 @@ def write_landscape(path, case):
     ("missing key", "no 'tables'"),
     ("not json", "Expecting"),
     ("nan entry", "table entries must lie in [0.0, 1.0]"),
+    ("unknown neighbor mode", "neighbor_mode must be one of"),
 ])
 def test_bad_landscape_file_exits_one(tmp_path, capsys, case, message):
     land = tmp_path / "land.json"
@@ -309,6 +312,43 @@ def test_bad_landscape_file_exits_one(tmp_path, capsys, case, message):
     assert f"{land}: " in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def corrupt_bytes(path):
+    """Put a byte that is not UTF-8 in the middle of a file."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2:])
+
+
+def not_utf8_input(tmp_path, case):
+    """The argv of a command that reads the input `case` names, and that input file."""
+    if case == "stats sample":
+        sample = tmp_path / "a.csv"
+        sample.write_text("0.1\n0.2\n0.3\n")
+        return ["stats", "compare", "--a", str(sample), "--b", str(sample)], sample
+    if case == "snapshot log":
+        out = tmp_path / "sweep"
+        assert run_cli(*SWEEP_ARGS, "--out-dir", str(out)) == 0
+        return FIG5 + [str(out)], out / "n8_k2" / "nan_run00_snapshots.csv"
+    land, data = tmp_path / "land.json", tmp_path / "train.csv"
+    run_cli("gen-landscape", "--n", "4", "--k", "2", "--seed", "3", "--out", str(land))
+    run_cli("gen-dataset", "--landscape", str(land), "--count", "20", "--seed", "4",
+            "--out", str(data))
+    argv = ["train", "--arch", "nn", "--landscape", str(land), "--train-data", str(data),
+            "--iterations", "10", "--out-dir", str(tmp_path / "run")]
+    return argv, data if case == "train data" else data.with_suffix(".meta.json")
+
+
+@pytest.mark.parametrize("case", ["train data", "train data meta", "stats sample",
+                                  "snapshot log"])
+def test_input_that_is_not_utf8_exits_one(tmp_path, capsys, case):
+    argv, path = not_utf8_input(tmp_path, case)
+    corrupt_bytes(path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "can't decode byte 0xff" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("archs, n_grid", [("nan,nn", "8,8"), ("nan,nan", "8")])

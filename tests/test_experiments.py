@@ -65,11 +65,11 @@ def test_derive_seed_distinct_across_tags():
 def test_trials_share_cell_data_unless_fresh():
     shared = exps.build_trial_specs(tiny_config(Path("unused")))
     by_run = {(s.arch, s.run): s for s in shared}
-    assert by_run[("nan", 0)].train_seed == by_run[("nn", 1)].train_seed
+    assert by_run[("nan", 0)].data == by_run[("nn", 1)].data
     fresh = exps.build_trial_specs(tiny_config(Path("unused"), fresh_data_per_run=True))
     by_run = {(s.arch, s.run): s for s in fresh}
-    assert by_run[("nan", 0)].train_seed != by_run[("nan", 1)].train_seed
-    assert by_run[("nan", 0)].train_seed == by_run[("ann", 0)].train_seed
+    assert by_run[("nan", 0)].data != by_run[("nan", 1)].data
+    assert by_run[("nan", 0)].data == by_run[("ann", 0)].data
 
 
 # --- grid validation -----------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_cell_data_built_once_per_cell_or_run(tmp_path, monkeypatch, fresh, expe
     # 2 cells; with fresh data, one pair per (cell, run)
     assert len(builds) == expected
     assert len(set(builds)) == expected
-    assert exps._cell_datasets.cache_info().currsize == 0
+    assert exps.cell_datasets.cache_info().currsize == 0
 
 
 def test_cached_datasets_are_read_only(tmp_path, monkeypatch):

@@ -63,6 +63,8 @@ def make_cell(n=10, k=3, count=60, seed=5):
         {"p_autoencode": 1.5},
         {"eval_interval": 0},
         {"decoder_activation": "relu"},
+        {"r": float("inf")},
+        {"r": 1e308},  # uniform(-r, r) overflows: 2 * r is not finite
     ],
 )
 def test_config_validation(kwargs):
@@ -257,9 +259,9 @@ def test_short_run_objective_streams_monotone(arch):
 def test_final_network_replays_from_accepted_deltas(arch):
     train_set, _ = make_cell()
     config = TrainConfig(seed=22, iterations=400, h=3)
-    _, log = train(arch, train_set, None, config)
+    net, log = train(arch, train_set, None, config)
     replayed = replay_final_network(arch, train_set.n, config, log.records)
-    assert same_network(replayed, log.final_network)
+    assert same_network(replayed, net)
 
 
 def test_final_snapshot_matches_final_network():
@@ -319,7 +321,7 @@ def test_snapshots_within_1e12_of_scratch_and_last_row_is_the_result(tmp_path, a
     )
     run_experiment(config)
     [spec] = experiments.build_trial_specs(config)
-    train_set, test_set = experiments.cell_datasets(spec)
+    train_set, test_set = experiments.cell_datasets(spec.data)
     paths = experiments.run_paths(spec.cell_dir, arch, 0)
     records = read_cycle_log(paths["cycles"])
     snapshots = read_snapshot_log(paths["snapshots"])

@@ -516,6 +516,18 @@ def test_load_network_rejects_missing_key(tmp_path, arch):
             load_network(path)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda data: data[: len(data) // 2],
+    lambda data: data[:10] + b"\xff" + data[10:],
+    lambda data: b"0.5",
+], ids=["truncated", "not-utf8", "not-an-object"])
+def test_load_network_rejects_unreadable_content(tmp_path, damage):
+    path = write_snapshot(tmp_path, "nan", lambda p: None)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ParameterError, match=re.escape(f"{path}: ")):
+        load_network(path)
+
+
 @pytest.mark.parametrize(
     "arch,key,value",
     [

@@ -1,10 +1,10 @@
-"""Check that this checkout writes the same sweep trees as another one.
+"""Check that this checkout writes the same sweep and run trees as another one.
 
     python3 tools/same_trees.py PARENT_CHECKOUT
 
-Runs each sweep config below from both source trees (`src/` of this
-checkout and of PARENT_CHECKOUT), each in a fresh interpreter with one BLAS
-thread, then compares the two output trees with `diff -r`, ignoring the
+Runs each config below from both source trees (`src/` of this checkout and
+of PARENT_CHECKOUT), each in a fresh interpreter with one BLAS thread, then
+compares the two output trees with `diff -r`, ignoring the
 wall-clock `timings.csv`. Exits 0 when every pair of trees is
 byte-identical and 1 otherwise, printing the files that differ. For a
 `*_snapshots.csv` that differs it also prints the largest |difference| over
@@ -12,13 +12,15 @@ its numeric cells, and whether the `iter` column, the empty cells and the
 last row match: snapshot values that agree to 1e-12 still count as a
 difference.
 
-The nine configs are criterion 3's sweep (tests/test_acceptance.py), the
-same sweep with decoder biases, with a tanh decoder, with a linear decoder,
-and with fresh data per run, adjacent neighbours and two worker processes,
-one n=1000 nan+ann cell with decoder biases (its reconstruction kernels run
-in several blocks of examples, where every n=20 config runs in one), and the
-three benchmark workloads of `benchmarks/workloads.py` at seed 1, built as
-`benchmarks/child.py` builds them.
+The ten configs are nine sweeps and one `nkae train` run. The sweeps are
+criterion 3's (tests/test_acceptance.py), the same sweep with decoder
+biases, with a tanh decoder, with a linear decoder, and with fresh data per
+run, adjacent neighbours and two worker processes, one n=1000 nan+ann cell
+with decoder biases (its reconstruction kernels run in several blocks of
+examples, where every n=20 config runs in one), and the three benchmark
+workloads of `benchmarks/workloads.py` at seed 1, built as
+`benchmarks/child.py` builds them. The run is `python -m nkae.cli train`
+with the flags of `TRAIN_ARGV`, whose four run files are compared.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRAIN_ARGV = ["train", "--arch", "ann", "--n", "20", "--k", "5", "--decoder-bias",
+              "--seed", "7", "--iterations", "300"]
 
 CHILD = """
 import json, sys
@@ -42,9 +46,14 @@ import nkae
 if not nkae.__file__.startswith(sys.argv[1]):
     sys.exit(f"imported nkae from {nkae.__file__}, not from {sys.argv[1]}")
 spec = json.loads(sys.argv[3])
-train = nkae.TrainConfig(**spec.pop("train_config"))
-grid = {key: tuple(value) if isinstance(value, list) else value for key, value in spec.items()}
-nkae.run_experiment(nkae.ExperimentConfig(out_dir=sys.argv[2], train_config=train, **grid))
+if "argv" in spec:  # a CLI command, run as `python -m nkae.cli ARGV --out-dir OUT`
+    import runpy
+    sys.argv = ["nkae", *spec["argv"], "--out-dir", sys.argv[2]]
+    runpy.run_module("nkae.cli", run_name="__main__")
+else:
+    train = nkae.TrainConfig(**spec.pop("train_config"))
+    grid = {key: tuple(v) if isinstance(v, list) else v for key, v in spec.items()}
+    nkae.run_experiment(nkae.ExperimentConfig(out_dir=sys.argv[2], train_config=train, **grid))
 """
 
 
@@ -58,7 +67,8 @@ def _workloads():
 
 
 def configs() -> dict:
-    """Config name -> ExperimentConfig fields, `train_config` as TrainConfig fields."""
+    """Config name -> ExperimentConfig fields, `train_config` as TrainConfig fields,
+    or {"argv": the command-line arguments of `nkae`, without `--out-dir`}."""
     criterion_3 = {
         "master_seed": 3003, "n_grid": [20], "k_grid": [5], "archs": ["nan", "ann", "nn"],
         "runs": 2, "workers": 1, "train_config": {"seed": 0},
@@ -83,6 +93,7 @@ def configs() -> dict:
             "train_count": bench.EXAMPLES, "test_count": bench.EXAMPLES,
             "train_config": {"iterations": w.iterations},
         }
+    out["train-ann-n20-k5-decoder-bias"] = {"argv": TRAIN_ARGV}
     return out
 
 
@@ -102,11 +113,11 @@ def snapshot_difference(a: Path, b: Path) -> str:
             f"last row {'matches' if last else 'DIFFERS'}")
 
 
-def run_sweep(checkout: Path, spec: dict, out_dir: Path) -> None:
+def run_config(checkout: Path, spec: dict, out_dir: Path) -> None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run(
         [sys.executable, "-c", CHILD, str(checkout / "src"), str(out_dir), json.dumps(spec)],
-        env=env, cwd=out_dir.parent, check=True,
+        env=env, cwd=out_dir.parent, check=True, stdout=subprocess.DEVNULL,
     )
 
 
@@ -124,7 +135,7 @@ def main(argv=None) -> int:
             for side, checkout in (("parent", parent), ("change", ROOT)):
                 tree = Path(tmp) / side / name
                 tree.parent.mkdir(exist_ok=True)
-                run_sweep(checkout, spec, tree)
+                run_config(checkout, spec, tree)
                 trees.append(tree)
             diff = subprocess.run(["diff", "-rq", "-x", "timings.csv", *map(str, trees)],
                                   capture_output=True, text=True)
