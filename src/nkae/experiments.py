@@ -343,7 +343,7 @@ def _cell_snapshot_series(out_dir, results, n, k, arch):
     """Stack snapshot logs for every run of (n, k, arch); returns (iters, rows)."""
     runs = sorted(r.run for r in results if r.n == n and r.k == k and r.arch == arch)
     if not runs:
-        raise FileNotFoundError(f"no runs recorded for n={n}, k={k}, arch={arch}")
+        raise ParameterError(f"no runs recorded for n={n}, k={k}, arch={arch}")
     all_snaps = []
     for run in runs:
         path = run_paths(cell_dir(out_dir, n, k), arch, run)["snapshots"]

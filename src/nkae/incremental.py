@@ -28,6 +28,17 @@ arrays and the (h, n) ``comp_sums``; the one (m, n) array is ann's decoder
 pre-activations ``dec_pre``, which an accepted ann hidden proposal updates
 in place, block by block.
 
+The kernel's passes are the cheapest numpy calls that keep those bits. An
+outer product is ``einsum("i,j->ij")``, which rounds each product as
+``multiply.outer`` does but writes a zero product as +0.0; the sign of a
+zero pre-activation never reaches a sum, since exp(±0) = 1 and every error
+is squared. On rows of 2 to ``EINSUM_SUM_MAX_N`` components the carry-row
+sum is ``einsum("ij->j")``, which adds the rows in the same order as
+``sum(axis=0)``. Errors are squared by ``square``, which is ``x * x`` in a
+faster loop. A sigmoid decoder clamps its pre-activations to
+[-CLAMP, CLAMP] only when the judge's decoder could reach past it (see
+``_needs_clamp``).
+
 Correctness is defined by the from-scratch evaluators in ``networks``;
 ``scratch_divergence`` measures the gap between the cached ``(task_mse,
 ae)`` and ``scratch_objectives``, which stays below ``AUDIT_TOL`` over any
@@ -49,6 +60,13 @@ AUDIT_TOL = 1e-12
 # Elements per block of examples in the reconstruction kernels: 2**16
 # float64 (512 KiB) stays in L2, and at n <= 65 a 1000-example set is one block.
 BLOCK_ELEMS = 2**16
+
+# The widest rows whose carry-row sum is taken by `einsum("ij->j")`. On one
+# BLOCK_ELEMS block (an AVX-512 Xeon, numpy 2.4) it takes 0.4 of the time of
+# `sum(axis=0)` at n=20 and 0.9 at n=200, but 1.4 at n=500. At n=1 both
+# collapse to 1-D sums in different orders, so one-component rows keep
+# `sum(axis=0)`.
+EINSUM_SUM_MAX_N = 200
 
 
 class EvalCache:
@@ -90,7 +108,8 @@ class EvalCache:
             self.dec_pre = self.h_act @ net.decoder.T
             if net.decoder_bias is not None:
                 self.dec_pre += net.decoder_bias
-            self.comp_sums = self._col_sums(None, None, self.dec_pre, clip=True)[None]
+            self.comp_sums = self._col_sums(None, None, self.dec_pre,
+                                            clip=self._needs_clamp(0))[None]
         else:
             self.comp_sums = np.empty((0, self.n))
         self.ae = (self.comp_sums.sum(axis=1) / (self.m * self.n)).tolist()
@@ -107,13 +126,35 @@ class EvalCache:
         for s in range(0, self.m, self._rows):
             yield s, min(s + self._rows, self.m)
 
+    def _needs_clamp(self, g):
+        """Whether judge g's sigmoid decoder must clamp its pre-activations,
+        that is whether they can leave [-CLAMP, CLAMP].
+
+        Hidden activations lie in [-1, 1]. So nan neuron g's ``act * d + b``
+        is at most max|d| + max|b| in magnitude, with one rounding that cannot
+        pass that bound, and ann's decoder node i at most
+        ``sum_j |decoder[i, j]| + |b_i|``. Accepts update ``dec_pre`` in place,
+        so ann's bound gets a margin of 1.0 for rounding drift, far above any
+        drift that the AUDIT_TOL audit lets pass.
+        """
+        net = self.net
+        if net.decoder_activation != "sigmoid":
+            return False
+        if net.arch == "nan":
+            bound = np.abs(net.decoder[g]).max()
+            if net.decoder_bias is not None:
+                bound += np.abs(net.decoder_bias[g]).max()
+        else:
+            rows = np.abs(net.decoder).sum(axis=1)
+            if net.decoder_bias is not None:
+                rows += np.abs(net.decoder_bias)
+            bound = rows.max() + 1.0
+        return bool(bound > nets.CLAMP)
+
     def _nan_sums(self, j, act_col):
         """Neuron j's per-component error sums for the hidden activations `act_col`."""
-        d = self.net.decoder[j]
         b = None if self.net.decoder_bias is None else self.net.decoder_bias[j]
-        # |act| <= 1, so |act * d + b| <= max|d| + max|b|: the clamp can only bite above CLAMP
-        bound = np.abs(d).max() + (0.0 if b is None else np.abs(b).max())
-        return self._col_sums(act_col, d, b, clip=bound > nets.CLAMP)
+        return self._col_sums(act_col, self.net.decoder[j], b, clip=self._needs_clamp(j))
 
     def _col_sums(self, act, d, base, clip):
         """Squared reconstruction errors of the decoder pre-activations
@@ -124,26 +165,33 @@ class EvalCache:
         ``(_rows + 1, n)`` scratch `_buf`, whose row 0 carries the running
         column sums: ``sum(axis=0)`` over the carry row and a block adds rows in
         the same order as one ``sum(axis=0)`` over all m rows, so the sums are
-        bit-identical to it. The sums go to a separate vector, since an `out`
+        bit-identical to it. Rows of 2 to EINSUM_SUM_MAX_N components take that
+        sum with ``einsum("ij->j")``, which adds in the same order and is
+        faster on narrow rows. The sums go to a separate vector, since an `out`
         that overlaps the input makes numpy copy the input first.
 
-        A sigmoid decoder computes 1 / (1 + exp(p)) from the negated
-        pre-activations ``p = outer(act, -d) - base``, which equal
-        ``-(outer(act, d) + base)`` bit for bit; `clip` False skips the clamp
-        where the caller has shown |p| <= CLAMP.
+        The outer product is ``einsum("i,j->ij")``: the bits of
+        ``multiply.outer``, except that a zero product is +0.0, a sign that the
+        activation or the square removes before any sum. ``square(x)`` is
+        ``x * x`` bit for bit, in a faster loop. A sigmoid decoder
+        computes 1 / (1 + exp(p)) from the negated pre-activations
+        ``p = outer(act, -d) - base``, which equal ``-(outer(act, d) + base)``
+        bit for bit; `clip` False skips the clamp where ``_needs_clamp`` has
+        shown |p| <= CLAMP.
         """
         activation = self.net.decoder_activation
         sign = -1.0 if activation == "sigmoid" else 1.0
         if act is not None:
             d = d * sign
         buf, sums = self._buf, np.zeros(self.n)
+        narrow = 2 <= self.n <= EINSUM_SUM_MAX_N
         for s, e in self._blocks():
             blk = buf[1:e - s + 1]
             part = base[s:e] if base is not None and base.ndim == 2 else base
             if act is None:
                 np.multiply(part, sign, out=blk)
             else:
-                np.multiply.outer(act[s:e], d, out=blk)
+                nets.einsum("i,j->ij", act[s:e], d, out=blk)
                 if part is not None:
                     if sign < 0:
                         blk -= part
@@ -158,9 +206,12 @@ class EvalCache:
             elif activation == "tanh":
                 np.tanh(blk, out=blk)
             blk -= self.X[s:e]
-            np.multiply(blk, blk, out=blk)
+            np.square(blk, out=blk)
             buf[0] = sums
-            buf[:e - s + 1].sum(axis=0, out=sums)
+            if narrow:
+                nets.einsum("ij->j", buf[:e - s + 1], out=sums)
+            else:
+                buf[:e - s + 1].sum(axis=0, out=sums)
         return sums
 
     def _judge(self, coord: Coord) -> int:
@@ -204,7 +255,8 @@ class EvalCache:
                 if net.arch == "nan":
                     sums = self._nan_sums(r, self._c2)
                 else:
-                    sums = self._col_sums(self._c3, net.decoder[:, r], self.dec_pre, clip=True)
+                    sums = self._col_sums(self._c3, net.decoder[:, r], self.dec_pre,
+                                          clip=self._needs_clamp(0))
                 cand = float(sums.sum()) / (self.m * self.n)
                 self._pending = ("hidden", coord, flat, delta, cand, sums)
                 return cand
@@ -263,8 +315,8 @@ class EvalCache:
             if net.arch == "ann":
                 # dec_pre += outer(shift, decoder column j), one block of examples at a time
                 for s, e in self._blocks():
-                    blk = np.multiply.outer(self._c3[s:e], net.decoder[:, j],
-                                            out=self._buf[1:e - s + 1])
+                    blk = nets.einsum("i,j->ij", self._c3[s:e], net.decoder[:, j],
+                                      out=self._buf[1:e - s + 1])
                     self.dec_pre[s:e] += blk
             self._c3 *= net.output_w[j]
             self.out_pre += self._c3

@@ -47,12 +47,15 @@ TASK_LAYERS = ("output_w", "output_bias")
 
 CLAMP = 500.0
 
-# The `clip` ufunc that `np.clip` wraps: the same bits without the wrapper's
+# The `clip` ufunc that `np.clip` wraps, and the C `einsum` that `np.einsum`
+# calls when not asked to optimize: the same bits without the wrappers'
 # argument handling, which costs more than the clip on a 1000-vector.
-try:
-    from numpy._core.umath import clip as clip_ufunc  # numpy >= 2
-except ImportError:
-    from numpy.core.umath import clip as clip_ufunc  # numpy 1.x
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum as einsum
+    from numpy._core.umath import clip as clip_ufunc
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as einsum
+    from numpy.core.umath import clip as clip_ufunc
 
 
 def sigmoid_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -236,7 +239,8 @@ def neuron_ae_mse(nan: Network, j: int, dataset: Dataset) -> float:
     _check_dataset(nan, dataset)
     X = dataset.inputs
     act = sigmoid_vec(X @ nan.encoder[j] + nan.hidden_bias[j])
-    pre = np.multiply.outer(act, nan.decoder[j])
+    # einsum writes a zero product as +0.0; the activation or the square removes that sign
+    pre = einsum("i,j->ij", act, nan.decoder[j])
     if nan.decoder_bias is not None:
         pre += nan.decoder_bias[j]
     rec = _dec_act_vec(nan.decoder_activation, pre, out=pre)

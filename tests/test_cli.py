@@ -10,7 +10,8 @@ import pytest
 import nkae
 from nkae import derive_seed, load_dataset, load_landscape
 from nkae.cli import cli_main
-from nkae.experiments import PURPOSE_LANDSCAPE, PURPOSE_TEST_DATA, PURPOSE_TRAIN_DATA, run_paths
+from nkae.experiments import (PURPOSE_LANDSCAPE, PURPOSE_TEST_DATA, PURPOSE_TRAIN_DATA,
+                              RESULTS_HEADER, run_paths)
 
 from test_hillclimb import corrupt_first_judge
 
@@ -174,6 +175,14 @@ MALFORMED = {
             (out / "n8_k2" / "ann_run00_result.json").read_bytes()),
         SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: holds trial (8, 2, 'ann', 0,"),
 }
+
+
+def test_plotdata_for_a_cell_that_never_ran_exits_one(tmp_path, capsys):
+    (tmp_path / "results.csv").write_text(RESULTS_HEADER + "\n")
+    assert run_cli(*FIG5, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "no runs recorded for n=8, k=2, arch=nan" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", MALFORMED)

@@ -384,7 +384,7 @@ def test_emit_series_validation(tmp_path):
         emit_series(out, "fig9")
     with pytest.raises(ParameterError):
         emit_series(out, "fig5")
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ParameterError, match="no runs recorded for n=20, k=5"):
         emit_series(out, "fig7", 20, 5)  # cell never ran
     shutil.rmtree(out)
     with pytest.raises(FileNotFoundError):

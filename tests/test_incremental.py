@@ -80,22 +80,67 @@ def test_random_walk_stays_consistent(arch, decoder_bias, decoder_activation):
     assert divergence(cache, ds) < 1e-12
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# the carry-row reductions of the blocked kernels, as (rows, out) -> out
+CARRY_ROW_SUMS = {
+    "sum": lambda rows, out: rows.sum(axis=0, out=out),
+    "einsum": lambda rows, out: nets.einsum("ij->j", rows, out=out),
+}
+
+
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 1000])
 def test_carry_row_reduction_is_one_axis_0_sum(m):
-    """The blocked kernels rely on ``buf[:b + 1].sum(axis=0)``, with row 0
-    carrying the running sums, adding rows in the order of one
-    ``sum(axis=0)``; a numpy that reorders axis-0 reductions fails here."""
-    n = 37
-    squares = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, n)) ** 2
-    expected = squares.sum(axis=0)
-    for rows in sorted({1, 2, 3, 7, 64, 65, m}):
-        buf, sums = np.empty((rows + 1, n)), np.zeros(n)
-        for s in range(0, m, rows):
-            e = min(s + rows, m)
-            buf[1:e - s + 1] = squares[s:e]
-            buf[0] = sums
-            buf[:e - s + 1].sum(axis=0, out=sums)
-        assert np.array_equal(sums, expected), rows
+    """The blocked kernels rely on ``sum(axis=0)`` and, on rows of 2 to
+    EINSUM_SUM_MAX_N components, ``einsum("ij->j")`` over ``buf[:b + 1]``,
+    with row 0 carrying the running sums, adding rows in the order of one
+    ``sum(axis=0)``; a numpy that reorders either reduction fails here."""
+    rng = np.random.default_rng(m)
+    widths = (2, 3, 20, 37, 150, incremental.EINSUM_SUM_MAX_N,
+              incremental.EINSUM_SUM_MAX_N + 1, 1000)
+    for n in widths:
+        squares = (rng.uniform(-1.0, 1.0, size=(m, n)) * 10.0 ** rng.integers(-8, 9, size=(m, n))) ** 2
+        expected = squares.sum(axis=0)
+        for name, reduce in CARRY_ROW_SUMS.items():
+            for rows in sorted({1, 2, 3, 7, 64, 65, m}):
+                buf, sums = np.empty((rows + 1, n)), np.zeros(n)
+                for s in range(0, m, rows):
+                    e = min(s + rows, m)
+                    buf[1:e - s + 1] = squares[s:e]
+                    buf[0] = sums
+                    reduce(buf[:e - s + 1], sums)
+                assert np.array_equal(bits(sums), bits(expected)), (n, name, rows)
+
+
+def test_einsum_outer_product_and_square_keep_the_bits_of_multiply():
+    """The kernels' ``einsum("i,j->ij")`` rounds every product as
+    ``multiply.outer`` does. It adds each product onto +0.0, so a zero
+    product comes out +0.0 where ``multiply.outer`` may give -0.0; the
+    kernels square or exponentiate every pre-activation before a sum, which
+    removes that sign. Their ``square(x)`` is ``x * x`` bit for bit. A numpy
+    that changes any of this fails here."""
+    rng = np.random.default_rng(17)
+    shapes = [(65, 1000), (1000, 20), (327, 200), (1, 1), (1, 9), (9, 1)]
+    shapes += [tuple(rng.integers(1, 80, size=2)) for _ in range(300)]
+    with np.errstate(over="ignore", under="ignore"):
+        for m, n in shapes:
+            factors = []
+            for size in (m, n):
+                v = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-300, 301, size)
+                v[rng.random(size) < 0.1] = 0.0
+                v[rng.random(size) < 0.1] = -0.0
+                factors.append(v)
+            a, d = factors
+            # the ann kernels pass a decoder column: a strided view
+            for right in (d, np.repeat(d, 3).reshape(n, 3)[:, 1]):
+                out = np.empty((m, n))
+                nets.einsum("i,j->ij", a, right, out=out)
+                expected = np.multiply.outer(a, right)
+                assert np.array_equal(bits(out), bits(expected + 0.0)), (m, n)
+                assert np.array_equal(bits(nets.einsum("i,j->ij", a, right)), bits(out))
+                assert np.array_equal(bits(np.square(expected)), bits(expected * expected))
 
 
 def assert_same_cache(a, b):
@@ -171,6 +216,58 @@ def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
                 probe = net.copy()
                 probe.params[probe.index(coord)] += delta
                 assert abs(candidate - nets.neuron_ae_mse(probe, 1, ds)) < 1e-12
+
+
+class ClampAlways(EvalCache):
+    """An EvalCache whose sigmoid decoders clamp every pre-activation."""
+
+    def _needs_clamp(self, g):
+        return True
+
+
+def clamped_layer_sums(dec_pre, X):
+    """ann's per-component error sums for the pre-activations `dec_pre`, clamped."""
+    rec = nets.sigmoid_vec(dec_pre)
+    rec -= X
+    np.multiply(rec, rec, out=rec)
+    return rec.sum(axis=0)
+
+
+@pytest.mark.parametrize("decoder_bias", [False, True])
+def test_ann_clamps_decoder_pre_activations_above_clamp(monkeypatch, decoder_bias):
+    monkeypatch.setattr(incremental, "BLOCK_ELEMS", 24)
+    config = TrainConfig(seed=0, h=3, decoder_bias=decoder_bias)
+    net = init_network("ann", 8, config, np.random.default_rng(4))
+    # decoder node 1 reads every hidden node with weight -1e6: exp(-pre)
+    # overflows unless its pre-activations are clamped
+    net.decoder[1] = -1e6
+    ds = make_dataset(8, 31, 104)
+    X = ds.inputs
+    with np.errstate(over="raise"):
+        cache = EvalCache(net, ds)
+        always = ClampAlways(net.copy(), ds)
+        assert_same_cache(cache, always)
+        assert np.array_equal(cache.comp_sums[0], clamped_layer_sums(cache.dec_pre, X))
+        rng = np.random.default_rng(6)
+        for step in range(24):
+            r = step % 3
+            coord = nets.Coord("encoder", r, step % 8) if step % 4 else nets.Coord("hidden_bias", r, 0)
+            delta = float(rng.uniform(-1.0, 1.0))
+            candidate = cache.propose(coord, delta)
+            assert candidate == always.propose(coord, delta)
+            if step % 2:
+                cache.accept()
+                always.accept()
+                sums = clamped_layer_sums(cache.dec_pre, X)
+                assert np.array_equal(cache.comp_sums[0], sums)
+                assert candidate == float(sums.sum()) / (31 * 8)
+            else:
+                cache.reject()
+                always.reject()
+                probe = net.copy()
+                probe.params[probe.index(coord)] += delta
+                assert abs(candidate - nets.layer_ae_mse(probe, ds)) < 1e-12
+            assert_same_cache(cache, always)
 
 
 def test_pending_protocol_enforced():

@@ -12,15 +12,17 @@ its numeric cells, and whether the `iter` column, the empty cells and the
 last row match: snapshot values that agree to 1e-12 still count as a
 difference.
 
-The ten configs are nine sweeps and one `nkae train` run. The sweeps are
+The eleven configs are ten sweeps and one `nkae train` run. The sweeps are
 criterion 3's (tests/test_acceptance.py), the same sweep with decoder
 biases, with a tanh decoder, with a linear decoder, and with fresh data per
-run, adjacent neighbours and two worker processes, one n=1000 nan+ann cell
-with decoder biases (its reconstruction kernels run in several blocks of
-examples, where every n=20 config runs in one), and the three benchmark
-workloads of `benchmarks/workloads.py` at seed 1, built as
-`benchmarks/child.py` builds them. The run is `python -m nkae.cli train`
-with the flags of `TRAIN_ARGV`, whose four run files are compared.
+run, adjacent neighbours and two worker processes, an n=200 and an n=1000
+nan+ann cell with decoder biases, and the three benchmark workloads of
+`benchmarks/workloads.py` at seed 1, built as `benchmarks/child.py` builds
+them. The two wide cells run their reconstruction kernels in several blocks
+of examples, where every n=20 config runs in one; at n=200 the kernels take
+the carry-row sum with `einsum`, and at n=1000 with `sum(axis=0)`. The run
+is `python -m nkae.cli train` with the flags of `TRAIN_ARGV`, whose four run
+files are compared.
 """
 
 from __future__ import annotations
@@ -81,10 +83,11 @@ def configs() -> dict:
     out["criterion-3-fresh-adjacent-pool"] = dict(
         criterion_3, fresh_data_per_run=True, neighbor_mode="adjacent", workers=2
     )
-    out["n1000-decoder-bias"] = dict(
-        criterion_3, n_grid=[1000], archs=["nan", "ann"], runs=1,
-        train_config={"seed": 0, "iterations": 200, "decoder_bias": True},
-    )
+    for n in (200, 1000):
+        out[f"n{n}-decoder-bias"] = dict(
+            criterion_3, n_grid=[n], archs=["nan", "ann"], runs=1,
+            train_config={"seed": 0, "iterations": 200, "decoder_bias": True},
+        )
     bench = _workloads()
     for w in bench.WORKLOADS.values():
         out[w.name] = {
