@@ -31,9 +31,6 @@ from .hillclimb import (
     RunLog,
     Snapshot,
     TrainConfig,
-    choose_cycle,
-    pick_coordinate,
-    propose_and_test,
     train,
 )
 from .stats import SummaryStats, TestReport, shapiro_wilk, summarize, welch_t_test

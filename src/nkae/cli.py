@@ -264,6 +264,10 @@ def _cmd_train(args) -> int:
         generated = wanted and nkland.nk_datasets(n, k, spec.data.landscape_seed, wanted, neighbors)
     generated = iter(generated)
     datasets = [nkland.load_dataset(path) if path else next(generated) for path in files]
+    for path, dataset in zip(files, datasets):
+        if path and dataset.n != n:
+            raise ParameterError(f"{path} has {dataset.n} inputs per example, "
+                                 f"but the cell's n is {n}")
     result = experiments.run_trial(spec, datasets)
     print(f"final train task MSE: {result.final_train_mse!r}")
     print(f"final test task MSE: {result.final_test_mse!r}")

@@ -189,7 +189,7 @@ def run_trial(spec: TrialSpec, datasets=None) -> TrialResult:
     network, log = hillclimb.train(spec.arch, train_set, test_set, config)
     duration_ms = (time.perf_counter() - start) * 1000.0
     Path(spec.cell_dir).mkdir(parents=True, exist_ok=True)
-    _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log.records, p))
+    _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log, p))
     _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
     _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
     result = TrialResult(

@@ -17,13 +17,23 @@ budget for a fair comparison.
 A run is a pure function of its config seed. The RNG stream is consumed in
 a fixed order: network init, then per cycle one `random()` for the kind,
 one `integers()` for the coordinate, one `uniform()` for the delta, and one
-`random()` only when a tie must be broken.
+`random()` only when a tie must be broken. The climb does not call the
+`Generator` for these: `RawDraws` decodes them from PCG64's raw output
+words, as numpy's C code does. So identical bytes depend on numpy's
+`Generator` algorithms as well as on PCG64, and `tests/test_hillclimb.py`
+checks the decoding against `Generator` calls on the installed numpy.
+
+A `RunLog` keeps the cycles as columns (coordinate, delta, objective
+before and after, accepted); `RunLog.records` derives one `CycleRecord`
+per cycle from them, and `write_cycle_log` formats them column-wise.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +101,18 @@ class Snapshot:
 
 @dataclass
 class RunLog:
-    """Complete, replayable trace of one training run."""
+    """Complete, replayable trace of one training run.
 
-    records: list[CycleRecord] = field(default_factory=list)
+    Cycle i (from 1) is entry i - 1 of each cycle column: the coordinate it
+    mutated, its delta, the objective before and after, and whether the
+    proposal was accepted. The columns hold Python floats and bools.
+    """
+
+    coords: list[Coord] = field(default_factory=list)
+    deltas: list[float] = field(default_factory=list)
+    before: list[float] = field(default_factory=list)
+    after: list[float] = field(default_factory=list)
+    accepted: list[bool] = field(default_factory=list)
     snapshots: list[Snapshot] = field(default_factory=list)
     final_train_task_mse: float = 0.0
     final_test_task_mse: float | None = None
@@ -101,55 +120,77 @@ class RunLog:
     # max |cached - from-scratch| objective over the final network; see `train`
     audit_divergence: float | None = None
 
+    @property
+    def records(self) -> list[CycleRecord]:
+        """One `CycleRecord` per cycle, built from the columns on each read."""
+        return [
+            CycleRecord(i, _kind(coord.layer), coord, *cells)
+            for i, coord, *cells in zip(count(1), self.coords, self.deltas, self.before,
+                                        self.after, self.accepted)
+        ]
 
-def choose_cycle(rng: np.random.Generator, config: TrainConfig) -> str:
-    """Autoencode with probability p_autoencode, else task (one draw)."""
-    return KIND_AUTOENCODE if rng.random() < config.p_autoencode else KIND_TASK
+
+def _kind(layer: str) -> str:
+    return KIND_TASK if layer in TASK_LAYERS else KIND_AUTOENCODE
 
 
-def pick_coordinate(network, kind: str, rng: np.random.Generator) -> Coord:
-    """Uniform draw over the cycle kind's coordinate pool.
+# Raw words read per `random_raw` call: about 400 cycles' worth of draws.
+RAW_BLOCK = 1024
 
-    The autoencode pool is the flat indices [0, task_start), the task pool
-    the rest; see `networks` for the layout.
+
+class RawDraws:
+    """The scalar draws of a PCG64 `np.random.Generator`, replayed from raw words.
+
+    Each method returns what the `Generator` method of its name returns at
+    the same point of the stream, decoded from the 64-bit output words as
+    numpy's C code does (O'Neill, "PCG", 2014; Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 2019). The reader reads blocks of
+    `RAW_BLOCK` words through `bit_generator.random_raw` ahead of its draws,
+    so the generator must not be drawn from once a reader takes it over.
     """
-    start = network.task_start
-    if kind == KIND_TASK:
-        return network.coord(start + int(rng.integers(network.params.size - start)))
-    if kind == KIND_AUTOENCODE:
-        return network.coord(int(rng.integers(start)))
-    raise ParameterError(f"unknown cycle kind {kind!r}")
 
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        if state["bit_generator"] != "PCG64":
+            raise ParameterError(f"RawDraws replays PCG64 only, got {state['bit_generator']}")
+        blocks = iter(lambda: bitgen.random_raw(RAW_BLOCK).tolist(), None)
+        self._word = chain.from_iterable(blocks).__next__
+        # PCG64 serves 32-bit draws low half first and keeps the high half for
+        # the next one; a generator may hand over such a kept half
+        self._half = state["uinteger"] if state["has_uint32"] else None
 
-def propose_and_test(
-    cache: EvalCache,
-    coord: Coord,
-    rng: np.random.Generator,
-    config: TrainConfig,
-    *,
-    iteration: int = 0,
-) -> tuple[bool, CycleRecord]:
-    """Mutate one coordinate of `cache.net` by a uniform delta; keep it only if not worse.
+    def random(self) -> float:
+        """A double in [0, 1): the top 53 bits of one word, times 2**-53."""
+        return (self._word() >> 11) * 2.0**-53
 
-    Accepts iff the cycle objective strictly improves; exact ties accept
-    with probability 0.5 (one extra draw); otherwise the proposal is
-    dropped and the incumbent is untouched.
-    """
-    delta = float(rng.uniform(-config.r, config.r))
-    kind = KIND_TASK if coord.layer in TASK_LAYERS else KIND_AUTOENCODE
-    before = cache.objective_for(coord)
-    after = cache.propose(coord, delta)
-    if after < before:
-        accepted = True
-    elif after == before:
-        accepted = bool(rng.random() < 0.5)
-    else:
-        accepted = False
-    if accepted:
-        cache.accept()
-    else:
-        cache.reject()
-    return accepted, CycleRecord(iteration, kind, coord, delta, before, after, accepted)
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def integers(self, n: int) -> int:
+        """Uniform in [0, n) for 1 <= n <= 2**32, by Lemire's bounded 32-bit draw.
+
+        `n == 1` reads nothing. Above 2**32 numpy switches to a 64-bit draw,
+        which is not replayed: ParameterError.
+        """
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ParameterError(f"integers(n) is replayed for 1 <= n <= 2**32, got n={n}")
+        # at n == 2**32 the threshold is 0 and the draw is the plain 32-bit
+        # half, as numpy takes it
+        threshold = (1 << 32) % n
+        while True:
+            half = self._half
+            if half is None:
+                word = self._word()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            scaled = half * n
+            if scaled & 0xFFFFFFFF >= threshold:
+                return scaled >> 32
 
 
 def _snapshot(cache, test_set, iteration):
@@ -190,16 +231,40 @@ def train(
     network = nets.init_network(arch, train_set.n, config, rng)
     cache = EvalCache(network, train_set)
     log = RunLog()
-    records = log.records
-    for iteration in range(1, config.iterations + 1):
-        kind = choose_cycle(rng, config)
-        coord = pick_coordinate(network, kind, rng)
-        _, record = propose_and_test(cache, coord, rng, config, iteration=iteration)
-        records.append(record)
-        if iteration % config.eval_interval == 0 and iteration < config.iterations:
+    draws = RawDraws(rng)
+    random, integers, uniform = draws.random, draws.integers, draws.uniform
+    coord_at = functools.cache(network.coord)
+    objective_for, propose, accept, reject = (
+        cache.objective_for, cache.propose, cache.accept, cache.reject)
+    coords, deltas, befores, afters, accepts = (
+        column.append for column in (log.coords, log.deltas, log.before, log.after, log.accepted))
+    # the autoencode pool is flat indices [0, task_start), the task pool the rest
+    start = network.task_start
+    task_pool = network.params.size - start
+    p_autoencode, r = config.p_autoencode, config.r
+    iterations, interval = config.iterations, config.eval_interval
+    for iteration in range(1, iterations + 1):
+        u = integers(start) if random() < p_autoencode else start + integers(task_pool)
+        coord = coord_at(u)
+        delta = uniform(-r, r)
+        before = objective_for(coord)
+        after = propose(coord, delta)
+        # strict improvement accepts, an exact tie with probability 0.5 (one more draw)
+        accepted = after < before or (after == before and random() < 0.5)
+        if accepted:
+            accept()
+        else:
+            reject()
+        coords(coord)
+        deltas(delta)
+        befores(before)
+        afters(after)
+        accepts(accepted)
+        if iteration % interval == 0 and iteration < iterations:
             log.snapshots.append(_snapshot(cache, test_set, iteration))
     cached = cache.task_mse, cache.ae
-    del cache  # frees ann's (m, n) dec_pre before the scratch pass allocates its own
+    # frees ann's (m, n) dec_pre before the scratch pass allocates its own
+    del cache, objective_for, propose, accept, reject
     scratch = scratch_objectives(network, train_set)
     log.audit_divergence = scratch_divergence(cached, scratch)
     if not log.audit_divergence <= AUDIT_TOL:
@@ -219,6 +284,8 @@ def train(
 # --- log serialization ------------------------------------------------------
 
 CYCLE_HEADER = "iter,kind,coord,delta,obj_before,obj_after,accepted"
+# %r writes the exact repr of a float: a RunLog's columns hold Python floats
+CYCLE_ROW = "%d,%s,%s:%d:%d,%r,%r,%r,%d\n"
 SNAPSHOT_HEADER = "iter,train_task_mse,train_ae_mse,test_task_mse"
 
 
@@ -259,14 +326,13 @@ def _read_csv(path, header: str, parsers) -> list[list]:
     return rows
 
 
-def write_cycle_log(records, path) -> None:
-    lines = [CYCLE_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.iteration},{r.kind},{r.coord},{_fmt(r.delta)},"
-            f"{_fmt(r.objective_before)},{_fmt(r.objective_after)},{int(r.accepted)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_cycle_log(log: RunLog, path) -> None:
+    """One CSV row per cycle of `log`, formatted column-wise."""
+    layers, rows, cols = tuple(zip(*log.coords)) or ((), (), ())
+    columns = (count(1), map(_kind, layers), layers, rows, cols,
+               log.deltas, log.before, log.after, log.accepted)
+    lines = map(CYCLE_ROW.__mod__, zip(*columns))
+    Path(path).write_text(CYCLE_HEADER + "\n" + "".join(lines), encoding="utf-8")
 
 
 def read_cycle_log(path) -> list[CycleRecord]:

@@ -2,14 +2,20 @@
 
 Everything here is written from the definitions with plain Python loops,
 string-built table indices and math.exp, deliberately sharing no code with
-the package.
+the package. The one exception is the reference climb, which scores its
+proposals with the package's `EvalCache`: it is the reference for the
+climber's draws and bookkeeping, which it takes from scalar `Generator`
+calls, one cycle at a time.
 """
 
 import math
 
 import numpy as np
 
+from nkae import EvalCache, ParameterError
 from nkae import networks as nets
+from nkae.hillclimb import KIND_AUTOENCODE, KIND_TASK, CycleRecord
+from nkae.networks import TASK_LAYERS
 
 
 # --- NK model ----------------------------------------------------------------
@@ -100,6 +106,63 @@ def oracle_objective(net, coord, dataset):
     if net.arch == "nan":
         return oracle_neuron_ae_mse(net, coord.row, dataset)
     return oracle_layer_ae_mse(net, dataset)
+
+
+# --- the climb, one scalar Generator call per draw --------------------------------
+
+def choose_cycle(rng, config):
+    """Autoencode with probability p_autoencode, else task (one draw)."""
+    return KIND_AUTOENCODE if rng.random() < config.p_autoencode else KIND_TASK
+
+
+def pick_coordinate(network, kind, rng):
+    """Uniform draw over the cycle kind's coordinate pool.
+
+    The autoencode pool is the flat indices [0, task_start), the task pool
+    the rest; see `networks` for the layout.
+    """
+    start = network.task_start
+    if kind == KIND_TASK:
+        return network.coord(start + int(rng.integers(network.params.size - start)))
+    if kind == KIND_AUTOENCODE:
+        return network.coord(int(rng.integers(start)))
+    raise ParameterError(f"unknown cycle kind {kind!r}")
+
+
+def propose_and_test(cache, coord, rng, config, *, iteration=0):
+    """Mutate one coordinate of `cache.net` by a uniform delta; keep it only if not worse.
+
+    Accepts iff the cycle objective strictly improves; exact ties accept
+    with probability 0.5 (one extra draw); otherwise the proposal is
+    dropped and the incumbent is untouched.
+    """
+    delta = float(rng.uniform(-config.r, config.r))
+    kind = KIND_TASK if coord.layer in TASK_LAYERS else KIND_AUTOENCODE
+    before = cache.objective_for(coord)
+    after = cache.propose(coord, delta)
+    if after < before:
+        accepted = True
+    elif after == before:
+        accepted = bool(rng.random() < 0.5)
+    else:
+        accepted = False
+    if accepted:
+        cache.accept()
+    else:
+        cache.reject()
+    return accepted, CycleRecord(iteration, kind, coord, delta, before, after, accepted)
+
+
+def reference_climb(arch, train_set, config):
+    """The network and cycle records of `train`'s climb, drawn by scalar calls."""
+    rng = np.random.default_rng(config.seed)
+    net = nets.init_network(arch, train_set.n, config, rng)
+    cache = EvalCache(net, train_set)
+    records = []
+    for iteration in range(1, config.iterations + 1):
+        coord = pick_coordinate(net, choose_cycle(rng, config), rng)
+        records.append(propose_and_test(cache, coord, rng, config, iteration=iteration)[1])
+    return net, records
 
 
 # --- run-log audits --------------------------------------------------------------

@@ -37,7 +37,6 @@ from nkae.experiments import (
     derive_seed,
     emit_series,
 )
-from nkae.hillclimb import pick_coordinate
 from nkae.incremental import scratch_divergence, scratch_objectives
 
 from conftest import record_acceptance
@@ -46,6 +45,7 @@ from oracles import (
     monotonicity_violations,
     oracle_fitness,
     oracle_objective,
+    pick_coordinate,
     replay_final_network,
     same_network,
 )

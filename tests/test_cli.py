@@ -121,6 +121,26 @@ def test_train_flags_disagreeing_with_landscape_exit_one(tmp_path, capsys, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["cell", "landscape"])
+def test_train_data_narrower_than_the_cell_exits_one(tmp_path, capsys, source):
+    wide, narrow = tmp_path / "wide.json", tmp_path / "narrow.json"
+    run_cli("gen-landscape", "--n", "8", "--k", "2", "--seed", "4", "--out", str(wide))
+    run_cli("gen-landscape", "--n", "5", "--k", "2", "--seed", "4", "--out", str(narrow))
+    files = []
+    for name in ("train", "test"):
+        files += [f"--{name}-data", str(tmp_path / f"{name}.csv")]
+        run_cli("gen-dataset", "--landscape", str(narrow), "--count", "20", "--seed", "6",
+                "--out", files[-1])
+    inputs = ["--landscape", str(wide)] if source == "landscape" else ["--n", "8", "--k", "2"]
+    out = tmp_path / "train"
+    capsys.readouterr()
+    assert run_cli("train", "--arch", "nan", *inputs, *files, *TRAIN_FLAGS,
+                   "--out-dir", str(out)) == 1
+    assert f"{files[1]} has 5 inputs per example, but the cell's n is 8" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_train_requires_cell_or_landscape(tmp_path):
     assert run_cli("train", "--arch", "nn", "--seed", "1",
                    "--out-dir", str(tmp_path)) == 1

@@ -11,10 +11,9 @@ from nkae import experiments
 from nkae import networks as nets
 from nkae.hillclimb import (
     CYCLE_HEADER,
+    RAW_BLOCK,
     SNAPSHOT_HEADER,
-    choose_cycle,
-    pick_coordinate,
-    propose_and_test,
+    RawDraws,
     read_cycle_log,
     read_snapshot_log,
     train,
@@ -22,7 +21,15 @@ from nkae.hillclimb import (
     write_snapshot_log,
 )
 
-from oracles import monotonicity_violations, replay_final_network, same_network
+from oracles import (
+    choose_cycle,
+    monotonicity_violations,
+    pick_coordinate,
+    propose_and_test,
+    reference_climb,
+    replay_final_network,
+    same_network,
+)
 
 
 class StubRng:
@@ -137,6 +144,91 @@ def test_pick_coordinate_empirical_uniformity():
         assert max(abs(c - draws * p) for c in counts.values()) <= 3 * sigma
 
 
+# --- raw-word draws ---------------------------------------------------------------------
+
+# 1 reads nothing, 2**31 + 5 rejects about half its draws, 2**32 is a plain uint32
+BOUNDS = (1, 2, 11, 410, 2**31 + 5, 2**32 - 1, 2**32)
+SPANS = ((-1.0, 1.0), (-200.0, 200.0), (-0.37, 0.37), (2.5, 7.0))
+
+
+def draw_script(seed, calls):
+    """A seeded interleaving of the three draws: (method name, args) per call."""
+    plan = np.random.default_rng(1000 + seed)
+    steps = []
+    for _ in range(calls):
+        kind = int(plan.integers(3))
+        if kind == 0:
+            steps.append(("random", ()))
+        elif kind == 1:
+            steps.append(("integers", (BOUNDS[int(plan.integers(len(BOUNDS)))],)))
+        else:
+            steps.append(("uniform", SPANS[int(plan.integers(len(SPANS)))]))
+    return steps
+
+
+def play(source, steps):
+    return [getattr(source, name)(*args) for name, args in steps]
+
+
+def words_used(seed, draws):
+    """Raw words that `draws(rng)` takes from a fresh generator of `seed`,
+    counted by stepping a twin one word at a time until the states agree."""
+    rng = np.random.default_rng(seed)
+    draws(rng)
+    target = rng.bit_generator.state["state"]
+    twin = np.random.default_rng(seed).bit_generator
+    used = 0
+    while twin.state["state"] != target:
+        twin.random_raw()
+        used += 1
+    return used
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_raw_draws_replay_generator_calls(seed):
+    steps = draw_script(seed, 3000)
+    expected = play(np.random.default_rng(seed), steps)
+    got = play(RawDraws(np.random.default_rng(seed)), steps)
+    assert got == expected
+    assert all(type(value) is (int if name == "integers" else float)
+               for value, (name, _) in zip(got, steps))
+    # the draws cross several blocks of raw words
+    assert words_used(seed, lambda rng: play(rng, steps)) > 2 * RAW_BLOCK
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+def test_raw_integers_at_each_bound(n):
+    steps = [("integers", (n,))] * 400 + [("random", ())]
+    for seed in range(5):
+        assert play(RawDraws(np.random.default_rng(seed)), steps) == play(
+            np.random.default_rng(seed), steps)
+    used = words_used(0, lambda rng: play(rng, steps[:-1]))
+    if n == 1:
+        assert used == 0
+    elif n == 2**31 + 5:
+        assert used > 200 + 50  # 400 draws without rejection take 200 words
+    else:
+        assert used == 200
+
+
+def test_raw_draws_take_over_a_kept_half():
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    rng.integers(7)
+    twin.integers(7)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    steps = [("integers", (410,))] + draw_script(3, 200)
+    assert play(RawDraws(rng), steps) == play(twin, steps)
+
+
+def test_raw_draws_reject_what_they_do_not_replay():
+    reader = RawDraws(np.random.default_rng(0))
+    for n in (0, -3, 2**32 + 1):
+        with pytest.raises(ParameterError, match=r"replayed for 1 <= n <= 2\*\*32"):
+            reader.integers(n)
+    with pytest.raises(ParameterError, match="PCG64 only"):
+        RawDraws(np.random.Generator(np.random.SFC64(0)))
+
+
 # --- propose_and_test -------------------------------------------------------------------
 
 def monotone_setup():
@@ -245,6 +337,31 @@ def test_train_rejects_mismatched_sets():
     other, _ = make_cell(n=8)
     with pytest.raises(ParameterError):
         train("nn", train_set, other, TrainConfig(seed=0, h=2))
+
+
+CLIMBS = {
+    "default": {},
+    "decoder-bias": {"decoder_bias": True},
+    "tanh": {"decoder_activation": "tanh"},
+    "linear": {"decoder_activation": "linear"},
+    "task-only": {"p_autoencode": 0.0},
+    "autoencode-only": {"p_autoencode": 1.0},
+    "r200": {"r": 200.0},
+}
+
+
+@pytest.mark.parametrize("climb", CLIMBS)
+@pytest.mark.parametrize("arch", ["nan", "ann", "nn"])
+def test_train_log_equals_the_reference_climb(arch, climb):
+    train_set, test_set = make_cell()
+    config = TrainConfig(seed=41, iterations=400, h=3, eval_interval=100, **CLIMBS[climb])
+    net, log = train(arch, train_set, test_set, config)
+    reference_net, records = reference_climb(arch, train_set, config)
+    assert log.records == records
+    assert same_network(net, reference_net)
+    if climb == "r200":
+        # saturated sigmoids make exact ties, which take the extra draw
+        assert sum(rec.objective_after == rec.objective_before for rec in records) > 0
 
 
 @pytest.mark.parametrize("arch", ["nn", "nan", "ann"])
@@ -384,8 +501,13 @@ def test_cycle_log_roundtrip(tmp_path):
     config = TrainConfig(seed=31, iterations=120, h=3)
     _, log = train("nan", train_set, None, config)
     path = tmp_path / "cycles.csv"
-    write_cycle_log(log.records, path)
-    assert path.read_text().splitlines()[0] == CYCLE_HEADER
+    write_cycle_log(log, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == CYCLE_HEADER
+    assert lines[1:] == [
+        f"{r.iteration},{r.kind},{r.coord},{r.delta!r},{r.objective_before!r},"
+        f"{r.objective_after!r},{int(r.accepted)}" for r in log.records
+    ]
     assert read_cycle_log(path) == log.records
 
 

@@ -3,10 +3,9 @@ import pytest
 
 from nkae import Dataset, EvalCache, ParameterError, TrainConfig, incremental, init_network
 from nkae import networks as nets
-from nkae.hillclimb import pick_coordinate
 from nkae.incremental import scratch_divergence, scratch_objectives
 
-from oracles import oracle_objective, same_network
+from oracles import oracle_objective, pick_coordinate, same_network
 
 
 def make_dataset(n, count, seed):

@@ -18,7 +18,6 @@ from nkae import (
     save_network,
     task_mse,
 )
-from nkae.hillclimb import pick_coordinate
 from nkae.networks import Coord, Network, forward_batch, hidden_batch, sigmoid_vec
 
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     oracle_layer_ae_mse,
     oracle_neuron_ae_mse,
     oracle_task_mse,
+    pick_coordinate,
 )
 
 SIG1 = 0.7310585786300049  # 1 / (1 + e^-1)

@@ -12,10 +12,12 @@ its numeric cells, and whether the `iter` column, the empty cells and the
 last row match: snapshot values that agree to 1e-12 still count as a
 difference.
 
-The eleven configs are ten sweeps and one `nkae train` run. The sweeps are
-criterion 3's (tests/test_acceptance.py), the same sweep with decoder
-biases, with a tanh decoder, with a linear decoder, and with fresh data per
-run, adjacent neighbours and two worker processes, an n=200 and an n=1000
+The twelve configs are eleven sweeps and one `nkae train` run. The sweeps
+are criterion 3's (tests/test_acceptance.py), the same sweep with decoder
+biases, with a tanh decoder, with a linear decoder, with r=200 (whose
+saturated sigmoids make exact ties, so the tie-break draw is taken; the
+default r=1 sweeps make none), and with fresh data per run, adjacent
+neighbours and two worker processes, an n=200 and an n=1000
 nan+ann cell with decoder biases, and the three benchmark workloads of
 `benchmarks/workloads.py` at seed 1, built as `benchmarks/child.py` builds
 them. The two wide cells run their reconstruction kernels in several blocks
@@ -78,7 +80,8 @@ def configs() -> dict:
     out = {"criterion-3": criterion_3}
     for name, extra in (("decoder-bias", {"decoder_bias": True}),
                         ("tanh", {"decoder_activation": "tanh"}),
-                        ("linear", {"decoder_activation": "linear"})):
+                        ("linear", {"decoder_activation": "linear"}),
+                        ("r200", {"r": 200.0})):
         out[f"criterion-3-{name}"] = dict(criterion_3, train_config={"seed": 0, **extra})
     out["criterion-3-fresh-adjacent-pool"] = dict(
         criterion_3, fresh_data_per_run=True, neighbor_mode="adjacent", workers=2
