@@ -1,10 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-landscape, gen-dataset, train, sweep, stats (compare),
-plotdata. Default hyperparameters: 10000 training iterations, H=10,
-R=1.0, cycle-kind probability 0.5, 20 runs per cell, 1000-example train
-and test sets; a bare `nkae sweep` runs the whole default grid. Every run prints the resolved master seed; omitted seeds are
-drawn from system entropy so any run can be replayed.
+plotdata. Each flag's help gives its default; a bare `nkae sweep` runs the
+whole default grid. Every run prints the resolved master seed; omitted
+seeds are drawn from system entropy so any run can be replayed.
 
 Exit codes: 0 success, 1 user error, 2 I/O error, 3 internal invariant
 violation.
@@ -42,18 +41,20 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+# argparse prints the message of an ArgumentTypeError, not of other errors
 def _int_list(text: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(",") if v)
     except ValueError:
-        raise ParameterError(f"expected a comma-separated integer list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from None
 
 
 def _arch_list(text: str) -> tuple:
     archs = tuple(a.strip() for a in text.split(",") if a.strip())
     for a in archs:
         if a not in nets.ARCHS:
-            raise ParameterError(f"unknown architecture {a!r}; choose from {nets.ARCHS}")
+            raise argparse.ArgumentTypeError(f"unknown architecture {a!r}; choose from {nets.ARCHS}")
     return archs
 
 
@@ -129,7 +130,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="hill-climb one network on one cell",
                        description="Train one network with the interleaved autoencode/task "
-                                   "hill climber (defaults: 10000 iterations, H=10, R=1.0, p=0.5).")
+                                   "hill climber.")
     _add_train_flags(p)
     p.add_argument("--landscape", help="landscape JSON (otherwise generated from --n/--k)")
     p.add_argument("--train-data", help="training CSV (otherwise sampled)")
@@ -140,9 +141,7 @@ def build_parser() -> _Parser:
                    help="epistatic partner scheme when generating data (default: random)")
 
     p = sub.add_parser("sweep", help="run the full multi-run experiment grid",
-                       description="Sweep (n, k, arch) cells; the default grid covers "
-                                   "n in {20,200,1000}, k in {2,5,10,15}, all three "
-                                   "architectures, 20 runs per cell.")
+                       description="Sweep (n, k, arch) cells, several runs per cell.")
     _add_train_flags(p, include_arch=False)
     p.add_argument("--n-grid", type=_int_list, default=(20, 200, 1000),
                    help="comma-separated n values (default: 20,200,1000)")

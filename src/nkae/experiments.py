@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, read_json
 from . import hillclimb, landscape as nkland, networks as nets, stats
 
 ARCH_CODES = {"nan": 1, "ann": 2, "nn": 3}
@@ -58,6 +58,11 @@ def derive_seed(master: int, purpose: int, n: int = 0, k: int = 0, arch_code: in
     """Mix (master, purpose, n, k, arch, run) into an independent 64-bit seed."""
     ss = np.random.SeedSequence([int(master), purpose, n, k, arch_code, run])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _check_distinct(name, values) -> None:
+    if len(set(values)) != len(values):
+        raise ParameterError(f"{name} repeats a value: {values}")
 
 
 @dataclass
@@ -97,8 +102,7 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not values:
                 raise ParameterError(f"{name} must be non-empty")
-            if len(set(values)) != len(values):
-                raise ParameterError(f"{name} repeats a value: {values}")
+            _check_distinct(name, values)
         for n, k in itertools.product(self.n_grid, self.k_grid):
             nkland.check_size(n, k)
 
@@ -204,12 +208,7 @@ def run_trial(spec: TrialSpec, datasets=None) -> TrialResult:
 
 def _load_trial_result(spec: TrialSpec) -> TrialResult:
     path = run_paths(spec.cell_dir, spec.arch, spec.run)["result"]
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ParameterError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParameterError(f"{path}: a trial result must be a JSON object")
+    payload = read_json(path, "a trial result")
     values = []
     for key, kind in RESULT_FIELDS.items():
         if key not in payload:
@@ -412,4 +411,6 @@ def emit_series(out_dir, figure: str, n: int | None = None, k: int | None = None
     if n is None or k is None:
         raise ParameterError(f"{figure} requires both n and k")
     columns, default_archs = _CURVES[figure]
-    return _emit_curves(out_dir, figure, n, k, archs or default_archs, columns)
+    archs = archs or default_archs
+    _check_distinct("archs", archs)
+    return _emit_curves(out_dir, figure, n, k, archs, columns)

@@ -234,8 +234,7 @@ def train(
     draws = RawDraws(rng)
     random, integers, uniform = draws.random, draws.integers, draws.uniform
     coord_at = functools.cache(network.coord)
-    objective_for, propose, accept, reject = (
-        cache.objective_for, cache.propose, cache.accept, cache.reject)
+    propose, accept, reject = cache.propose, cache.accept, cache.reject
     coords, deltas, befores, afters, accepts = (
         column.append for column in (log.coords, log.deltas, log.before, log.after, log.accepted))
     # the autoencode pool is flat indices [0, task_start), the task pool the rest
@@ -247,8 +246,7 @@ def train(
         u = integers(start) if random() < p_autoencode else start + integers(task_pool)
         coord = coord_at(u)
         delta = uniform(-r, r)
-        before = objective_for(coord)
-        after = propose(coord, delta)
+        before, after = propose(coord, delta)
         # strict improvement accepts, an exact tie with probability 0.5 (one more draw)
         accepted = after < before or (after == before and random() < 0.5)
         if accepted:
@@ -264,7 +262,7 @@ def train(
             log.snapshots.append(_snapshot(cache, test_set, iteration))
     cached = cache.task_mse, cache.ae
     # frees ann's (m, n) dec_pre before the scratch pass allocates its own
-    del cache, objective_for, propose, accept, reject
+    del cache, propose, accept, reject
     scratch = scratch_objectives(network, train_set)
     log.audit_divergence = scratch_divergence(cached, scratch)
     if not log.audit_divergence <= AUDIT_TOL:

@@ -15,7 +15,8 @@ component, and ``ae[g]`` is their mean over examples and components. A
 proposal is staged as one of three kinds: ``task`` (the output node, and
 every nn hidden-node change, which only the task judges), ``hidden`` (a nan
 or ann encoder weight or hidden bias) and ``decoder`` (a nan or ann decoder
-weight or bias, which moves one component of one judge).
+weight or bias, which moves one component of one judge). ``propose`` returns
+the incumbent and candidate values of the objective its kind names.
 
 A hidden proposal of nan or ann moves a whole judge's reconstruction, an
 (m, n) array for m examples. It is never written out: the kernel walks the
@@ -220,14 +221,9 @@ class EvalCache:
 
     # -- public API ------------------------------------------------------------
 
-    def objective_for(self, coord: Coord) -> float:
-        """Current incumbent value of the objective this coordinate is judged on."""
-        if coord.layer in TASK_LAYERS or self.net.arch == "nn":
-            return self.task_mse
-        return self.ae[self._judge(coord)]
-
-    def propose(self, coord: Coord, delta: float) -> float:
-        """Stage `coord += delta` and return the candidate objective value."""
+    def propose(self, coord: Coord, delta: float) -> tuple[float, float]:
+        """Stage `coord += delta`; returns ``(before, after)``, the incumbent and
+        candidate values of the one objective that judges `coord`."""
         if self._pending is not None:
             raise ParameterError("a proposal is already pending")
         net = self.net
@@ -259,7 +255,7 @@ class EvalCache:
                                           clip=self._needs_clamp(0))
                 cand = float(sums.sum()) / (self.m * self.n)
                 self._pending = ("hidden", coord, flat, delta, cand, sums)
-                return cand
+                return self.ae[self._judge(coord)], cand
         else:
             # a decoder weight or bias: _c1 gets the candidate pre-activations
             # of the one reconstructed component i it moves
@@ -287,10 +283,10 @@ class EvalCache:
             total = float(self.comp_sums[g].sum()) - float(self.comp_sums[g, i]) + s_new
             cand = total / (self.m * self.n)
             self._pending = ("decoder", coord, flat, delta, cand, (i, s_new))
-            return cand
+            return self.ae[g], cand
         cand = self._task_from(self._c3)
         self._pending = ("task", coord, flat, delta, cand, None)
-        return cand
+        return self.task_mse, cand
 
     def accept(self) -> None:
         """Apply the pending mutation to the network and commit staged state."""

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, read_text
+from .errors import ParameterError, json_array, read_json, read_text
 
 MAX_K = 15
 NEIGHBOR_MODES = ("random", "adjacent")
@@ -262,20 +262,21 @@ def save_landscape(landscape: NkLandscape, path) -> None:
 
 
 def load_landscape(path) -> NkLandscape:
-    """Read a `save_landscape` file; malformed content raises ParameterError naming it."""
+    """Read a `save_landscape` file; malformed content raises ParameterError naming it.
+
+    n, k, seed and the neighbors must be JSON integers, the tables JSON numbers.
+    """
+    payload = read_json(path, "a landscape")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return NkLandscape(
-            payload["n"],
-            payload["k"],
-            payload["seed"],
-            payload["neighbors"],
-            payload["tables"],
-            payload.get("neighbor_mode", "random"),
-        )
+        sizes = [payload[key] for key in ("n", "k", "seed")]
+        if any(type(value) is not int for value in sizes):
+            raise ParameterError(f"n, k and seed must be JSON integers, got {sizes}")
+        return NkLandscape(*sizes, json_array(payload["neighbors"], "neighbors", integer=True),
+                           json_array(payload["tables"], "tables"),
+                           payload.get("neighbor_mode", "random"))
     except KeyError as exc:
         raise ParameterError(f"{path}: landscape has no {exc}") from None
-    except (TypeError, ValueError, ParameterError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: {exc}") from None
 
 
@@ -325,12 +326,7 @@ def load_dataset(path) -> Dataset:
             rows.append(values)
     if not rows:
         raise ParameterError(f"{path}: no examples")
-    meta = {}
     mp = _meta_path(path)
-    if mp.exists():
-        try:
-            meta = json.loads(mp.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ParameterError(f"{mp}: {exc}") from None
+    meta = read_json(mp, "dataset metadata") if mp.exists() else {}
     data = np.asarray(rows)
     return Dataset(np.ascontiguousarray(data[:, :n]), np.ascontiguousarray(data[:, n]), meta)

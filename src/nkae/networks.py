@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, json_array, read_json
 from .landscape import Dataset
 
 ARCHS = ("nan", "ann", "nn")
@@ -232,6 +232,17 @@ def task_mse(network: Network, dataset: Dataset) -> float:
     return float(d @ d) / dataset.count
 
 
+def _reconstruction_mse(network, pre, bias, X) -> float:
+    """Mean squared error of reconstructing `X` from the decoder pre-activations
+    `pre` plus `bias` (None for none), through the decoder activation, in place."""
+    if bias is not None:
+        pre += bias
+    rec = _dec_act_vec(network.decoder_activation, pre, out=pre)
+    rec -= X
+    np.multiply(rec, rec, out=rec)
+    return float(rec.sum()) / rec.size
+
+
 def neuron_ae_mse(nan: Network, j: int, dataset: Dataset) -> float:
     """Neuron j's reconstruction MSE, averaged over examples and components."""
     if not 0 <= j < nan.h:
@@ -241,12 +252,8 @@ def neuron_ae_mse(nan: Network, j: int, dataset: Dataset) -> float:
     act = sigmoid_vec(X @ nan.encoder[j] + nan.hidden_bias[j])
     # einsum writes a zero product as +0.0; the activation or the square removes that sign
     pre = einsum("i,j->ij", act, nan.decoder[j])
-    if nan.decoder_bias is not None:
-        pre += nan.decoder_bias[j]
-    rec = _dec_act_vec(nan.decoder_activation, pre, out=pre)
-    rec -= X
-    np.multiply(rec, rec, out=rec)
-    return float(rec.sum()) / (dataset.count * nan.n)
+    bias = None if nan.decoder_bias is None else nan.decoder_bias[j]
+    return _reconstruction_mse(nan, pre, bias, X)
 
 
 def layer_ae_mse(ann: Network, dataset: Dataset) -> float:
@@ -254,13 +261,7 @@ def layer_ae_mse(ann: Network, dataset: Dataset) -> float:
     _check_dataset(ann, dataset)
     X = dataset.inputs
     act = hidden_batch(ann, X)
-    pre = act @ ann.decoder.T
-    if ann.decoder_bias is not None:
-        pre += ann.decoder_bias
-    rec = _dec_act_vec(ann.decoder_activation, pre, out=pre)
-    rec -= X
-    np.multiply(rec, rec, out=rec)
-    return float(rec.sum()) / (dataset.count * ann.n)
+    return _reconstruction_mse(ann, act @ ann.decoder.T, ann.decoder_bias, X)
 
 
 def judge_ae_mses(network: Network, dataset: Dataset) -> list[float]:
@@ -317,39 +318,26 @@ def save_network(network: Network, path) -> None:
 
 def load_network(path) -> Network:
     """Read a `save_network` snapshot, checking every block against the layout."""
+    payload = read_json(path, "a network snapshot")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ParameterError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParameterError(f"{path}: a network snapshot must be a JSON object")
-
-    def field(key):
-        if key not in payload:
-            raise ParameterError(f"{path}: network snapshot has no {key!r}")
-        return payload[key]
-
-    arch, n, h = field("arch"), field("n"), field("h")
-    if arch not in ARCHS:
-        raise ParameterError(f"{path}: arch must be one of {ARCHS}, got {arch!r}")
-    if type(n) is not int or type(h) is not int:
-        raise ParameterError(f"{path}: n and h must be integers, got {n!r} and {h!r}")
-    activation = "sigmoid"
-    bias = False
-    if arch != "nn":
-        activation = field("decoder_activation")
-        bias = field(_json_key(arch, "decoder_bias")) is not None
-    try:
+        arch, n, h = payload["arch"], payload["n"], payload["h"]
+        if arch not in ARCHS:
+            raise ParameterError(f"arch must be one of {ARCHS}, got {arch!r}")
+        if type(n) is not int or type(h) is not int:
+            raise ParameterError(f"n and h must be integers, got {n!r} and {h!r}")
+        activation, bias = "sigmoid", False
+        if arch != "nn":
+            activation = payload["decoder_activation"]
+            bias = payload[_json_key(arch, "decoder_bias")] is not None
         net = Network(arch, n, h, decoder_bias=bias, decoder_activation=activation)
+        for name, (offset, shape) in net.layout.items():
+            key = _json_key(arch, name)
+            value = json_array(payload[key], repr(key))
+            if value.shape != shape:
+                raise ParameterError(f"{key!r} must be numbers of shape {shape}")
+            getattr(net, name)[...] = value
+        return net
+    except KeyError as exc:
+        raise ParameterError(f"{path}: network snapshot has no {exc}") from None
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None
-    for name, (offset, shape) in net.layout.items():
-        key = _json_key(arch, name)
-        try:
-            value = np.asarray(field(key), dtype=np.float64)
-        except (TypeError, ValueError):
-            value = None
-        if value is None or value.shape != shape:
-            raise ParameterError(f"{path}: {key!r} must be numbers of shape {shape}")
-        getattr(net, name)[...] = value
-    return net

@@ -1,8 +1,9 @@
 """Summary statistics, Shapiro-Wilk normality test, and Welch's two-sample t-test.
 
-Everything is implemented directly so results do not depend on an external
-statistics stack: the normal quantiles behind the Shapiro-Wilk weights come
-from bisection on erfc, and the t CDF uses the regularized incomplete beta
+Everything is implemented with numpy and the standard library alone, so
+results do not depend on an external statistics stack: the normal quantiles
+behind the Shapiro-Wilk weights come from `statistics.NormalDist`, the
+normal tail from erfc, and the t CDF uses the regularized incomplete beta
 evaluated by a modified-Lentz continued fraction (absolute error well below
 1e-10). The Shapiro-Wilk W statistic and p-value follow Royston's
 approximation for sample sizes 3..5000.
@@ -53,24 +54,9 @@ def summarize(samples) -> SummaryStats:
 # --- numeric primitives -----------------------------------------------------
 
 def _norm_sf(z: float) -> float:
-    """Upper tail of the standard normal."""
+    """Upper tail of the standard normal, from erfc: `NormalDist.cdf` computes
+    1 + erf, which loses small tails."""
     return 0.5 * math.erfc(z / _SQRT2)
-
-
-def _norm_ppf(p: float) -> float:
-    """Standard normal quantile by bisection on the exact erfc-based CDF."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"quantile argument must lie in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if 0.5 * math.erfc(-mid / _SQRT2) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -171,7 +157,12 @@ def shapiro_wilk(samples) -> TestReport:
     if m == 3:
         a = np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
     else:
-        scores = np.array([_norm_ppf((i - 0.375) / (m + 0.25)) for i in range(1, m + 1)])
+        # imported here: `statistics` pulls in `fractions` and `decimal`, which
+        # would add several ms to `import nkae`
+        from statistics import NormalDist
+
+        ppf = NormalDist().inv_cdf
+        scores = np.array([ppf((i - 0.375) / (m + 0.25)) for i in range(1, m + 1)])
         ssq = float(scores @ scores)
         u = 1.0 / math.sqrt(m)
         c_top = scores[-1] / math.sqrt(ssq) + u * (

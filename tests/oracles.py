@@ -138,8 +138,7 @@ def propose_and_test(cache, coord, rng, config, *, iteration=0):
     """
     delta = float(rng.uniform(-config.r, config.r))
     kind = KIND_TASK if coord.layer in TASK_LAYERS else KIND_AUTOENCODE
-    before = cache.objective_for(coord)
-    after = cache.propose(coord, delta)
+    before, after = cache.propose(coord, delta)
     if after < before:
         accepted = True
     elif after == before:

@@ -7,7 +7,6 @@ the stated runtime budgets on a single core.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from nkae.experiments import (
 from nkae.incremental import scratch_divergence, scratch_objectives
 
 from conftest import record_acceptance
+from helpers import read_tree
 from oracles import (
     all_genomes,
     monotonicity_violations,
@@ -111,14 +111,6 @@ def test_criterion_2_monotonicity_suite():
 
 # -- 3: sweep determinism ---------------------------------------------------------------
 
-def read_tree(root):
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(Path(root).rglob("*"))
-        if p.is_file() and p.name != "timings.csv"
-    }
-
-
 def test_criterion_3_sweep_determinism(tmp_path):
     def config(out, workers):
         return ExperimentConfig(
@@ -154,7 +146,7 @@ def test_criterion_4_incremental_equivalence():
             kind = "task" if rng.random() < 0.5 else "autoencode"
             coord = pick_coordinate(net, kind, rng)
             delta = float(rng.uniform(-1.0, 1.0))
-            candidate = cache.propose(coord, delta)
+            _, candidate = cache.propose(coord, delta)
             probe = net.copy()
             probe.params[probe.index(coord)] += delta
             worst = max(worst, abs(candidate - oracle_objective(probe, coord, dataset)))

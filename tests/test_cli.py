@@ -171,6 +171,11 @@ def edit_results_row(out, edit):
     results.write_text("\n".join(lines) + "\n")
 
 
+def edit_result(out, edit):
+    result = out / "n8_k2" / "nan_run00_result.json"
+    result.write_text(edit(result.read_text()))
+
+
 def append_snapshot_row(out):
     with (out / "n8_k2" / "nan_run00_snapshots.csv").open("a") as fh:
         fh.write("300,xyz,,\n")
@@ -194,6 +199,15 @@ MALFORMED = {
         lambda out: (out / "n8_k2" / "nan_run00_result.json").write_bytes(
             (out / "n8_k2" / "ann_run00_result.json").read_bytes()),
         SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: holds trial (8, 2, 'ann', 0,"),
+    "truncated result": (lambda out: edit_result(out, lambda text: text[: len(text) // 2]),
+                         SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: not JSON: "),
+    "result not an object": (
+        lambda out: edit_result(out, lambda text: "[]"),
+        SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: a trial result must be a JSON object"),
+    "text final_train_mse": (
+        lambda out: edit_result(
+            out, lambda text: json.dumps({**json.loads(text), "final_train_mse": "0.1"})),
+        SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: invalid final_train_mse '0.1'"),
 }
 
 
@@ -320,6 +334,16 @@ def write_landscape(path, case):
         payload["tables"][2][1] = float("nan")
     elif case == "unknown neighbor mode":
         payload["neighbor_mode"] = "bogus"
+    elif case == "fractional n":
+        payload["n"] = 4.7
+    elif case == "fractional neighbor":
+        payload["neighbors"][1][0] = 2.5
+    elif case == "neighbor beyond int64":
+        payload["neighbors"][1][0] = 2**64
+    elif case == "text table entry":
+        payload["tables"][0][3] = str(payload["tables"][0][3])
+    elif case == "list":
+        payload = [payload]
     text = json.dumps(payload)
     path.write_text(text[: len(text) // 2] if case == "not json" else text)
 
@@ -329,6 +353,11 @@ def write_landscape(path, case):
     ("not json", "Expecting"),
     ("nan entry", "table entries must lie in [0.0, 1.0]"),
     ("unknown neighbor mode", "neighbor_mode must be one of"),
+    ("fractional n", "n, k and seed must be JSON integers, got [4.7, 2, 3]"),
+    ("fractional neighbor", "neighbors must be JSON integers"),
+    ("neighbor beyond int64", "neighbors must be JSON integers"),
+    ("text table entry", "tables must be JSON numbers"),
+    ("list", "a landscape must be a JSON object"),
 ])
 def test_bad_landscape_file_exits_one(tmp_path, capsys, case, message):
     land = tmp_path / "land.json"
@@ -387,6 +416,27 @@ def test_repeated_grid_value_exits_one(tmp_path, capsys, archs, n_grid):
                    "--runs", "2", "--seed", "5", "--out-dir", str(out)) == 1
     assert "repeats" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--archs", "foo", "unknown architecture 'foo'"),
+    ("--n-grid", "20,x", "expected a comma-separated integer list, got '20,x'"),
+])
+def test_list_flag_errors_name_the_value(tmp_path, capsys, flag, value, message):
+    assert run_cli("sweep", flag, value, "--out-dir", str(tmp_path / "sweep")) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "invalid" not in err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_plotdata_with_repeated_archs_exits_one(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli(*SWEEP_ARGS, "--out-dir", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(*FIG5, str(out), "--archs", "nan,nan") == 1
+    assert "archs repeats a value: ('nan', 'nan')" in capsys.readouterr().err
+    assert not (out / "fig5_n8_k2.csv").exists()
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):

@@ -18,6 +18,8 @@ from nkae import (
 from nkae import experiments as exps
 from nkae.hillclimb import read_snapshot_log
 
+from helpers import read_tree
+
 
 def tiny_config(out_dir, runs=2, archs=("nan", "ann", "nn"), workers=1, **kwargs):
     return ExperimentConfig(
@@ -33,14 +35,6 @@ def tiny_config(out_dir, runs=2, archs=("nan", "ann", "nn"), workers=1, **kwargs
         workers=workers,
         **kwargs,
     )
-
-
-def read_tree(root):
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(Path(root).rglob("*"))
-        if p.is_file() and p.name != "timings.csv"
-    }
 
 
 # --- seed derivation -------------------------------------------------------------

@@ -21,6 +21,7 @@ from nkae.hillclimb import (
     write_snapshot_log,
 )
 
+from helpers import make_dataset
 from oracles import (
     choose_cycle,
     monotonicity_violations,
@@ -44,12 +45,6 @@ class StubRng:
 
     def random(self):
         return self._random.pop(0)
-
-
-def make_dataset(n, count, seed):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(count, n))
-    return Dataset(bits * 2.0 - 1.0, rng.random(count))
 
 
 def make_cell(n=10, k=3, count=60, seed=5):

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from nkae import Dataset, EvalCache, ParameterError, TrainConfig, incremental, init_network
+from nkae import EvalCache, ParameterError, TrainConfig, incremental, init_network
 from nkae import networks as nets
 from nkae.incremental import scratch_divergence, scratch_objectives
 
+from helpers import make_dataset
 from oracles import oracle_objective, pick_coordinate, same_network
-
-
-def make_dataset(n, count, seed):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(count, n))
-    return Dataset(bits * 2.0 - 1.0, rng.random(count))
 
 
 def make_cache(arch, n=8, h=3, count=30, seed=2, **cfg_kwargs):
@@ -38,7 +33,9 @@ def test_objective_for_matches_naive(arch):
     for kind in ("task", "autoencode"):
         for _ in range(10):
             coord = pick_coordinate(net, kind, rng)
-            assert abs(cache.objective_for(coord) - oracle_objective(net, coord, ds)) < 1e-12
+            before, _ = cache.propose(coord, 0.5)
+            assert abs(before - oracle_objective(net, coord, ds)) < 1e-12
+            cache.reject()
 
 
 # nn has no decoder, so it walks once; the sigmoid walks keep their short ids
@@ -61,7 +58,7 @@ def test_random_walk_stays_consistent(arch, decoder_bias, decoder_activation):
         coord = pick_coordinate(net, kind, rng)
         delta = float(rng.uniform(-1.0, 1.0))
 
-        candidate = cache.propose(coord, delta)
+        _, candidate = cache.propose(coord, delta)
         probe = net.copy()
         probe.params[probe.index(coord)] += delta
         assert abs(candidate - oracle_objective(probe, coord, ds)) < 1e-12
@@ -204,7 +201,7 @@ def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
         for step in range(20):
             coord = nets.Coord("encoder", 1, step % 8) if step % 3 else nets.Coord("hidden_bias", 1, 0)
             delta = float(rng.uniform(-1.0, 1.0))
-            candidate = cache.propose(coord, delta)
+            _, candidate = cache.propose(coord, delta)
             if step % 2:
                 cache.accept()
                 sums = full_neuron_sums(net, 1, cache.h_act[:, 1], X)
@@ -252,8 +249,8 @@ def test_ann_clamps_decoder_pre_activations_above_clamp(monkeypatch, decoder_bia
             r = step % 3
             coord = nets.Coord("encoder", r, step % 8) if step % 4 else nets.Coord("hidden_bias", r, 0)
             delta = float(rng.uniform(-1.0, 1.0))
-            candidate = cache.propose(coord, delta)
-            assert candidate == always.propose(coord, delta)
+            before, candidate = cache.propose(coord, delta)
+            assert (before, candidate) == always.propose(coord, delta)
             if step % 2:
                 cache.accept()
                 always.accept()

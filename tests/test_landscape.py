@@ -270,3 +270,6 @@ def test_load_dataset_rejects_malformed_meta(tmp_path):
     (tmp_path / "data.meta.json").write_text("{", encoding="utf-8")
     with pytest.raises(ParameterError):
         load_dataset(path)
+    (tmp_path / "data.meta.json").write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(ParameterError, match="data.meta.json: dataset metadata must be a JSON object"):
+        load_dataset(path)

@@ -20,6 +20,7 @@ from nkae import (
 )
 from nkae.networks import Coord, Network, forward_batch, hidden_batch, sigmoid_vec
 
+from helpers import make_dataset
 from oracles import (
     same_network,
     oracle_forward,
@@ -30,12 +31,6 @@ from oracles import (
 )
 
 SIG1 = 0.7310585786300049  # 1 / (1 + e^-1)
-
-
-def make_dataset(n, count, seed=0):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(count, n))
-    return Dataset(bits * 2.0 - 1.0, rng.random(count))
 
 
 def make_net(arch, n=6, h=3, seed=1, **cfg_kwargs):
@@ -540,6 +535,9 @@ def test_load_network_rejects_unreadable_content(tmp_path, damage):
         ("nan", "encoder", "weights"),
         ("ann", "layer_decoder", [[0.0] * 4] * 2),  # (n, h) is (4, 2)
         ("ann", "layer_decoder_bias", [0.0] * 2),
+        ("nan", "encoder", [["0.17"] * 4] * 2),
+        ("nn", "output_bias", True),
+        pytest.param("nn", "output_bias", 10**400, id="nn-output_bias-beyond-float64"),
     ],
 )
 def test_load_network_rejects_misshapen_block(tmp_path, arch, key, value):
