@@ -18,10 +18,10 @@ import json
 import secrets
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import ParameterError, read_text
+from .errors import ParameterError, finite_float, read_csv, read_text
 from . import experiments, hillclimb, landscape as nkland, networks as nets, stats
 
 
@@ -58,52 +58,46 @@ def _arch_list(text: str) -> tuple:
     return archs
 
 
+# Each flag takes its default from the config field it sets, and its help prints it.
+_SWEEP_DEFAULTS = {f.name: f.default for f in fields(experiments.ExperimentConfig)}
+
+
 def _add_train_flags(parser, include_arch=True):
+    train, sweep = hillclimb.TrainConfig(), _SWEEP_DEFAULTS
     if include_arch:
         parser.add_argument("--arch", required=True, choices=nets.ARCHS,
                             help="network variant to train")
-    parser.add_argument("--iterations", type=int, default=10000,
+    parser.add_argument("--iterations", type=int, default=train.iterations,
                         help="training cycles (default: %(default)s)")
-    parser.add_argument("--r", type=float, default=1.0, dest="r",
+    parser.add_argument("--r", type=float, default=train.r, dest="r",
                         help="mutation half-range R (default: %(default)s)")
-    parser.add_argument("--h", type=int, default=10, dest="h",
+    parser.add_argument("--h", type=int, default=train.h, dest="h",
                         help="hidden nodes H (default: %(default)s)")
-    parser.add_argument("--p-autoencode", type=float, default=0.5,
+    parser.add_argument("--p-autoencode", type=float, default=train.p_autoencode,
                         help="probability of an autoencoding cycle (default: %(default)s)")
-    parser.add_argument("--decoder-activation", default="sigmoid",
+    parser.add_argument("--decoder-activation", default=train.decoder_activation,
                         choices=nets.DECODER_ACTIVATIONS,
                         help="decoder node activation (default: %(default)s)")
     parser.add_argument("--decoder-bias", action="store_true",
                         help="give decoder nodes biases (default: off)")
-    parser.add_argument("--eval-interval", type=int, default=100,
+    parser.add_argument("--eval-interval", type=int, default=train.eval_interval,
                         help="snapshot period in cycles (default: %(default)s)")
-    parser.add_argument("--train-count", type=int, default=1000,
+    parser.add_argument("--train-count", type=int, default=sweep["train_count"],
                         help="generated training examples per cell (default: %(default)s)")
-    parser.add_argument("--test-count", type=int, default=1000,
+    parser.add_argument("--test-count", type=int, default=sweep["test_count"],
                         help="generated test examples per cell (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
     parser.add_argument("--out-dir", required=True, help="output directory")
 
 
 def _experiment_config(args, seed, **grid) -> experiments.ExperimentConfig:
-    """The sweep config of the flags `train` and `sweep` share; `grid` names the cells and runs."""
-    train_config = hillclimb.TrainConfig(
-        iterations=args.iterations,
-        r=args.r,
-        h=args.h,
-        p_autoencode=args.p_autoencode,
-        decoder_activation=args.decoder_activation,
-        decoder_bias=args.decoder_bias,
-        eval_interval=args.eval_interval,
-    )
-    return experiments.ExperimentConfig(
-        master_seed=seed,
-        out_dir=Path(args.out_dir),
-        train_config=train_config,
-        train_count=args.train_count,
-        test_count=args.test_count,
-        **grid,
-    )
+    """The config that the flags named after TrainConfig and ExperimentConfig fields
+    give (--seed is the master seed, not TrainConfig's), with `grid`'s fields on top."""
+    train = {f.name: getattr(args, f.name) for f in fields(hillclimb.TrainConfig) if f.name != "seed"}
+    flags = {f.name: getattr(args, f.name) for f in fields(experiments.ExperimentConfig)
+             if hasattr(args, f.name)}
+    return experiments.ExperimentConfig(**{**flags, **grid}, master_seed=seed,
+                                        train_config=hillclimb.TrainConfig(**train))
 
 
 def build_parser() -> _Parser:
@@ -143,19 +137,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run the full multi-run experiment grid",
                        description="Sweep (n, k, arch) cells, several runs per cell.")
     _add_train_flags(p, include_arch=False)
-    p.add_argument("--n-grid", type=_int_list, default=(20, 200, 1000),
-                   help="comma-separated n values (default: 20,200,1000)")
-    p.add_argument("--k-grid", type=_int_list, default=(2, 5, 10, 15),
-                   help="comma-separated k values (default: 2,5,10,15)")
-    p.add_argument("--archs", type=_arch_list, default=("nan", "ann", "nn"),
-                   help="comma-separated architectures (default: nan,ann,nn)")
-    p.add_argument("--runs", type=int, default=20,
+    sweep = _SWEEP_DEFAULTS
+    # argparse converts a str default with `type`, so these print as typed
+    p.add_argument("--n-grid", type=_int_list, default=",".join(map(str, sweep["n_grid"])),
+                   help="comma-separated n values (default: %(default)s)")
+    p.add_argument("--k-grid", type=_int_list, default=",".join(map(str, sweep["k_grid"])),
+                   help="comma-separated k values (default: %(default)s)")
+    p.add_argument("--archs", type=_arch_list, default=",".join(sweep["archs"]),
+                   help="comma-separated architectures (default: %(default)s)")
+    p.add_argument("--runs", type=int, default=sweep["runs"],
                    help="independent runs per cell (default: %(default)s)")
-    p.add_argument("--neighbors", default="random", choices=nkland.NEIGHBOR_MODES,
-                   help="epistatic partner scheme (default: %(default)s)")
+    p.add_argument("--neighbors", default=sweep["neighbor_mode"], choices=nkland.NEIGHBOR_MODES,
+                   dest="neighbor_mode", help="epistatic partner scheme (default: %(default)s)")
     p.add_argument("--fresh-data-per-run", action="store_true",
                    help="sample a new dataset pair for every run instead of per cell")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=int, default=sweep["workers"],
                    help="parallel trial processes, at most one per pending trial "
                         "and per CPU (default: %(default)s)")
 
@@ -186,36 +182,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _sample_cell(cell: str) -> float | None:
+    """A results-style sample cell: empty (as nn's final_ae_mse) or a finite number."""
+    return finite_float(cell) if cell else None
+
+
 def _load_sample(path: str, column: str) -> list:
-    """Read a sample vector: a results-style CSV column or one value per line."""
-    text = read_text(path).strip()
-    if not text:
-        raise ParameterError(f"{path} is empty")
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    if column in header:
-        idx = header.index(column)
+    """Read a sample vector of finite numbers: a results-style CSV column or one value per line."""
+    lines = read_text(path).split("\n")
+    names = lines[0].split(",")
+    if column in names:
+        idx = names.index(column)
+        rows = read_csv(path, lambda header: [_sample_cell if name == column else str
+                                              for name in header])
+        values = [row[idx] for row in rows if row[idx] is not None]
+    else:  # one value per line: a format of its own, with no header for read_csv
         values = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ParameterError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
-            if cells[idx]:
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
                 try:
-                    values.append(float(cells[idx]))
-                except ValueError:
-                    raise ParameterError(
-                        f"{path}:{lineno}: {column} must be numeric, got {cells[idx]!r}"
-                    ) from None
-        return values
-    try:
-        return [float(line.split(",")[0]) for line in lines]
-    except ValueError:
-        raise ParameterError(
-            f"{path} has no {column!r} column and is not a plain numeric list"
-        )
+                    values.append(finite_float(line.split(",")[0]))
+                except ParameterError as exc:
+                    raise ParameterError(f"{path}:{lineno}: a sample value {exc}; with no {column!r} "
+                                         "column, a sample file holds one value per line") from None
+    if not values:
+        raise ParameterError(f"{path}: no sample values (column {column!r} is empty or absent)")
+    return values
 
 
 def _cmd_gen_landscape(args) -> int:
@@ -246,7 +238,7 @@ def _cmd_train(args) -> int:
                                      f"whose {field} is {getattr(land, field)!r}")
         n, k, neighbors = land.n, land.k, land.neighbor_mode
     elif args.n is not None and args.k is not None:
-        n, k, neighbors = args.n, args.k, args.neighbors or "random"
+        n, k, neighbors = args.n, args.k, args.neighbors or _SWEEP_DEFAULTS["neighbor_mode"]
     else:
         raise ParameterError("provide --landscape or both --n and --k")
     # run 0 of arch in a one-cell sweep, written to --out-dir instead of its cell directory
@@ -277,17 +269,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
-    config = _experiment_config(
-        args, seed,
-        n_grid=args.n_grid,
-        k_grid=args.k_grid,
-        archs=args.archs,
-        runs=args.runs,
-        neighbor_mode=args.neighbors,
-        fresh_data_per_run=args.fresh_data_per_run,
-        workers=args.workers,
-    )
+    config = _experiment_config(args, _resolve_seed(args.seed))
     results = experiments.run_experiment(config)
     print(f"completed {len(results)} trials; wrote {config.out_dir / 'results.csv'}")
     return 0
@@ -307,7 +289,7 @@ def _cmd_stats(args) -> int:
     }
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
-    else:
+    else:  # not `errors.write_csv`: error strings hold commas, which csv.writer quotes
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(("section", "field", "value"))

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, read_json
+from .errors import ParameterError, float_cell, opt_float, read_csv, read_json, write_csv
 from . import hillclimb, landscape as nkland, networks as nets, stats
 
 ARCH_CODES = {"nan": 1, "ann": 2, "nn": 3}
@@ -251,20 +251,15 @@ def build_trial_specs(config: ExperimentConfig) -> list[TrialSpec]:
 
 def write_results_csv(results, path) -> None:
     """Deterministic results table, rows in the given order; duration_ms stays empty by design."""
-    lines = [RESULTS_HEADER]
-    for r in results:
-        lines.append(
-            f"{r.n},{r.k},{r.arch},{r.run},{r.seed},"
-            f"{hillclimb._fmt(r.final_train_mse)},{hillclimb._fmt(r.final_test_mse)},"
-            f"{hillclimb._fmt(r.final_ae_mse)},"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ([str(r.n), str(r.k), r.arch, str(r.run), str(r.seed), float_cell(r.final_train_mse),
+             float_cell(r.final_test_mse), float_cell(r.final_ae_mse), ""] for r in results)
+    write_csv(path, RESULTS_HEADER, rows)
 
 
 def load_results_csv(path) -> list[TrialResult]:
     """Read `write_results_csv`'s table; a malformed row is a ParameterError naming file:line."""
-    parsers = (int, int, str, int, int, float, float, hillclimb._opt_float, hillclimb._opt_float)
-    return [TrialResult(*row) for row in hillclimb._read_csv(path, RESULTS_HEADER, parsers)]
+    parsers = (int, int, str, int, int, float, float, opt_float, opt_float)
+    return [TrialResult(*row) for row in read_csv(path, RESULTS_HEADER, parsers)]
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
@@ -295,11 +290,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
         cell_datasets.cache_clear()
     results.sort(key=lambda r: (r.n, r.k, r.arch, r.run))
     write_results_csv(results, config.out_dir / "results.csv")
-    lines = ["n,k,arch,run,duration_ms"]
-    for r in results:
-        if r.duration_ms is not None:
-            lines.append(f"{r.n},{r.k},{r.arch},{r.run},{r.duration_ms:.3f}")
-    (config.out_dir / "timings.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    timings = ([str(r.n), str(r.k), r.arch, str(r.run), f"{r.duration_ms:.3f}"]
+               for r in results if r.duration_ms is not None)
+    write_csv(config.out_dir / "timings.csv", "n,k,arch,run,duration_ms", timings)
     return results
 
 
@@ -361,12 +354,12 @@ def emit_fig6_series(out_dir) -> Path:
     cells: dict[tuple, list] = {}
     for r in results:
         cells.setdefault((r.n, r.k, r.arch), []).append(r.final_test_mse)
-    lines = ["n,k,arch,mean_test_mse,min_test_mse,max_test_mse"]
+    rows = []
     for (n, k, arch), values in sorted(cells.items()):
         s = stats.summarize(values)
-        lines.append(f"{n},{k},{arch},{s.mean!r},{s.min!r},{s.max!r}")
+        rows.append([str(n), str(k), arch, float_cell(s.mean), float_cell(s.min), float_cell(s.max)])
     path = out_dir / "fig6.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, "n,k,arch,mean_test_mse,min_test_mse,max_test_mse", rows)
     return path
 
 
@@ -385,7 +378,7 @@ def _emit_curves(out_dir, figure, n, k, archs, columns) -> Path:
     """
     out_dir = Path(out_dir)
     results = load_results_csv(out_dir / "results.csv")
-    lines = [",".join(["iter", "arch", *(f"mean_{column}" for column in columns)])]
+    rows = []
     for arch in archs:
         iters, snaps = _cell_snapshot_series(out_dir, results, n, k, arch)
         means = []
@@ -395,10 +388,10 @@ def _emit_curves(out_dir, figure, n, k, archs, columns) -> Path:
         if means[0] is None:
             raise ParameterError(f"runs for arch {arch!r} carry no {columns[0]} snapshots")
         for idx, it in enumerate(iters):
-            cells = ["" if mean is None else repr(float(mean[idx])) for mean in means]
-            lines.append(",".join([str(it), arch, *cells]))
+            cells = [float_cell(None if mean is None else mean[idx]) for mean in means]
+            rows.append([str(it), arch, *cells])
     path = out_dir / f"{figure}_{cell_dir(out_dir, n, k).name}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ",".join(["iter", "arch", *(f"mean_{column}" for column in columns)]), rows)
     return path
 
 

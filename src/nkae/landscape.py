@@ -10,14 +10,14 @@ in gene order (left to right, float64), so results reproduce bit-for-bit.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, json_array, read_json, read_text
+from .errors import (ParameterError, finite_float, float_cell, json_array, number, read_csv,
+                     read_json, write_csv)
 
 MAX_K = 15
 NEIGHBOR_MODES = ("random", "adjacent")
@@ -289,44 +289,36 @@ def save_dataset(dataset: Dataset, path) -> None:
 
     Inputs are serialized as -1/1; targets with full round-trip precision.
     """
-    path = Path(path)
-    n = dataset.n
-    lines = [",".join([f"x{i + 1}" for i in range(n)] + ["y"])]
-    for row, y in zip(dataset.inputs, dataset.targets):
-        cells = ["1" if v > 0 else "-1" for v in row]
-        cells.append(repr(float(y)))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ",".join([*(f"x{i + 1}" for i in range(dataset.n)), "y"])
+    rows = (np.where(x > 0, "1", "-1").tolist() + [float_cell(y)]
+            for x, y in zip(dataset.inputs, dataset.targets))
+    write_csv(path, header, rows)
     _meta_path(path).write_text(json.dumps(dataset.meta), encoding="utf-8")
+
+
+class _Signs(dict):
+    """Input cells: "1" and "-1" are dict hits (cheaper than float()); other spellings are parsed."""
+
+    def __missing__(self, cell):
+        if abs(number(cell)) != 1.0:
+            raise ParameterError(f"must be -1 or 1, got {cell!r}")
+        return float(cell)
+
+
+def _dataset_parsers(names) -> list:
+    """The parsers of a dataset file whose header is x1,...,xN,y."""
+    n = len(names) - 1
+    if n < 1 or names != [f"x{i + 1}" for i in range(n)] + ["y"]:
+        raise ValueError("header must be x1,...,xN,y")
+    return [_Signs({"1": 1.0, "-1": -1.0}).__getitem__] * n + [finite_float]
 
 
 def load_dataset(path) -> Dataset:
     """Read examples written by `save_dataset`; malformed content raises ParameterError."""
-    path = Path(path)
-    with io.StringIO(read_text(path)) as fh:
-        header = fh.readline().strip().split(",")
-        n = len(header) - 1
-        if n < 1 or header != [f"x{i + 1}" for i in range(n)] + ["y"]:
-            raise ParameterError(f"{path}: header must be x1,...,xN,y")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) != n + 1:
-                raise ParameterError(f"{path}:{lineno}: expected {n + 1} cells, got {len(cells)}")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: cells must be numeric") from None
-            if not set(values[:n]) <= {-1.0, 1.0}:
-                raise ParameterError(f"{path}:{lineno}: inputs must be -1 or 1")
-            if not np.isfinite(values[n]):
-                raise ParameterError(f"{path}:{lineno}: target must be finite")
-            rows.append(values)
+    rows = read_csv(path, _dataset_parsers)
     if not rows:
         raise ParameterError(f"{path}: no examples")
     mp = _meta_path(path)
     meta = read_json(mp, "dataset metadata") if mp.exists() else {}
     data = np.asarray(rows)
-    return Dataset(np.ascontiguousarray(data[:, :n]), np.ascontiguousarray(data[:, n]), meta)
+    return Dataset(np.ascontiguousarray(data[:, :-1]), np.ascontiguousarray(data[:, -1]), meta)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import nkae
-from nkae import derive_seed, load_dataset, load_landscape
+from nkae import (ExperimentConfig, TrainConfig, TrialResult, derive_seed, experiments,
+                  load_dataset, load_landscape)
 from nkae.cli import cli_main
 from nkae.experiments import (PURPOSE_LANDSCAPE, PURPOSE_TEST_DATA, PURPOSE_TRAIN_DATA,
                               RESULTS_HEADER, run_paths)
@@ -282,6 +284,8 @@ def test_stats_compare_csv_format_to_file(tmp_path, values_a, values_b, errors):
 @pytest.mark.parametrize("row, message", [
     ("8,2,nan,9,1,0.1", "expected 9 cells, got 6"),
     ("8,2,nan,9,1,0.1,abc,0.5,", "final_test_mse must be numeric"),
+    ("8,2,nan,9,1,0.1,nan,0.5,", "final_test_mse must be finite"),
+    ("8,2,nan,9,1,0.1,-inf,0.5,", "final_test_mse must be finite"),
 ])
 def test_stats_compare_bad_sample_exits_one(tmp_path, capsys, row, message):
     header = "n,k,arch,run,seed,final_train_mse,final_test_mse,final_ae_mse,duration_ms"
@@ -292,6 +296,27 @@ def test_stats_compare_bad_sample_exits_one(tmp_path, capsys, row, message):
     err = capsys.readouterr().err
     assert f"a.csv:5: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "x"])
+def test_stats_compare_plain_list_needs_finite_values(tmp_path, capsys, value):
+    sample = tmp_path / "s.csv"
+    sample.write_text(f"0.1\n{value}\n0.3\n0.2\n")
+    assert run_cli("stats", "compare", "--a", str(sample), "--b", str(sample)) == 1
+    captured = capsys.readouterr()
+    assert "s.csv:2: a sample value must be " in captured.err
+    assert repr(value) in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_stats_compare_empty_column_names_file_and_column(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER + "\n" + "".join(
+        f"8,2,nn,{i},1,0.1,0.2,,\n" for i in range(3)))
+    assert run_cli("stats", "compare", "--a", str(results), "--b", str(results),
+                   "--column", "final_ae_mse") == 1
+    err = capsys.readouterr().err
+    assert f"{results}: no sample values (column 'final_ae_mse' is empty or absent)" in err
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -485,6 +510,30 @@ def test_help_documents_default_setup(capsys):
     run_cli("sweep", "--help")
     text = capsys.readouterr().out
     assert "20" in text and "20,200,1000" in text and "2,5,10,15" in text
+
+
+def test_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    configs, build_trial_specs = [], experiments.build_trial_specs
+
+    def recorded(config):
+        configs.append(config)
+        return build_trial_specs(config)
+
+    monkeypatch.setattr(experiments, "build_trial_specs", recorded)
+    monkeypatch.setattr(experiments, "run_trial", lambda spec, datasets: TrialResult(
+        8, 2, "nn", 0, 1, 0.1, 0.2, None))
+    monkeypatch.setattr(experiments, "run_experiment", lambda config: configs.append(config) or [])
+    out = str(tmp_path / "out")
+    assert run_cli("train", "--arch", "nn", "--n", "8", "--k", "2", "--out-dir", out) == 0
+    assert run_cli("sweep", "--out-dir", out) == 0
+    train, sweep = configs
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    defaults["train_config"] = TrainConfig()
+    assert train.train_config == TrainConfig()
+    assert (train.train_count, train.test_count) == (defaults["train_count"], defaults["test_count"])
+    for name, default in defaults.items():
+        if name not in ("master_seed", "out_dir"):
+            assert getattr(sweep, name) == default, name
 
 
 def test_console_entry_point_runs():

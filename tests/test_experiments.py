@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import shutil
 from pathlib import Path
 
@@ -196,6 +197,27 @@ def test_duration_column_stays_empty(tmp_path):
     assert all(line.endswith(",") for line in lines[1:])
     timing_lines = (tmp_path / "out" / "timings.csv").read_text().splitlines()
     assert len(timing_lines) == 3  # header + 2 executed trials
+
+
+def timing_rows(out):
+    """timings.csv's rows as (trial identity, duration cell), after checking its header."""
+    lines = (out / "timings.csv").read_bytes().decode().split("\n")
+    assert lines[0] == "n,k,arch,run,duration_ms" and lines[-1] == ""
+    return [tuple(line.rsplit(",", 1)) for line in lines[1:-1]]
+
+
+def test_timings_hold_one_row_per_trial_that_ran(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(tiny_config(out, archs=("nan", "nn")))
+    rows = timing_rows(out)
+    assert [trial for trial, _ in rows] == ["8,2,nan,0", "8,2,nan,1", "8,2,nn,0", "8,2,nn,1"]
+    assert all(re.fullmatch(r"\d+\.\d{3}", duration) for _, duration in rows)
+    for path in out.glob("n8_k2/nn_run01_*"):
+        path.unlink()
+    run_experiment(tiny_config(out, archs=("nan", "nn")))
+    # the three trials loaded on resume have no duration
+    [(trial, duration)] = timing_rows(out)
+    assert trial == "8,2,nn,1" and re.fullmatch(r"\d+\.\d{3}", duration)
 
 
 # --- cell data built once per process -----------------------------------------------------

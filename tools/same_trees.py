@@ -12,7 +12,8 @@ its numeric cells, and whether the `iter` column, the empty cells and the
 last row match: snapshot values that agree to 1e-12 still count as a
 difference.
 
-The twelve configs are eleven sweeps and one `nkae train` run. The sweeps
+The fourteen configs are eleven sweeps, one `nkae train` run, one sweep
+followed by `nkae plotdata`, and one landscape and dataset. The sweeps
 are criterion 3's (tests/test_acceptance.py), the same sweep with decoder
 biases, with a tanh decoder, with a linear decoder, with r=200 (whose
 saturated sigmoids make exact ties, so the tie-break draw is taken; the
@@ -23,8 +24,11 @@ nan+ann cell with decoder biases, and the three benchmark workloads of
 them. The two wide cells run their reconstruction kernels in several blocks
 of examples, where every n=20 config runs in one; at n=200 the kernels take
 the carry-row sum with `einsum`, and at n=1000 with `sum(axis=0)`. The run
-is `python -m nkae.cli train` with the flags of `TRAIN_ARGV`, whose four run
-files are compared.
+is `nkae train` with the flags of `TRAIN_ARGV`, whose four run files are
+compared. The plotdata config runs criterion 3's sweep, then writes the fig5,
+fig6 and fig7 series from it (`PLOTDATA_ARGVS`). The last config runs
+`nkae gen-landscape` and `nkae gen-dataset` (`DATAGEN_ARGVS`), comparing the
+landscape JSON and the dataset's CSV and `.meta.json`.
 """
 
 from __future__ import annotations
@@ -41,23 +45,36 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAIN_ARGV = ["train", "--arch", "ann", "--n", "20", "--k", "5", "--decoder-bias",
-              "--seed", "7", "--iterations", "300"]
+              "--seed", "7", "--iterations", "300", "--out-dir", "{out}"]
+PLOTDATA_ARGVS = [
+    ["plotdata", "--figure", "fig5", "--n", "20", "--k", "5", "--results-dir", "{out}"],
+    ["plotdata", "--figure", "fig6", "--results-dir", "{out}"],
+    ["plotdata", "--figure", "fig7", "--n", "20", "--k", "5", "--results-dir", "{out}"],
+]
+DATAGEN_ARGVS = [
+    ["gen-landscape", "--n", "200", "--k", "5", "--seed", "11", "--out", "{out}/landscape.json"],
+    ["gen-dataset", "--landscape", "{out}/landscape.json", "--count", "500", "--seed", "12",
+     "--out", "{out}/dataset.csv"],
+]
 
 CHILD = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import nkae
 if not nkae.__file__.startswith(sys.argv[1]):
     sys.exit(f"imported nkae from {nkae.__file__}, not from {sys.argv[1]}")
-spec = json.loads(sys.argv[3])
-if "argv" in spec:  # a CLI command, run as `python -m nkae.cli ARGV --out-dir OUT`
-    import runpy
-    sys.argv = ["nkae", *spec["argv"], "--out-dir", sys.argv[2]]
-    runpy.run_module("nkae.cli", run_name="__main__")
-else:
-    train = nkae.TrainConfig(**spec.pop("train_config"))
-    grid = {key: tuple(v) if isinstance(v, list) else v for key, v in spec.items()}
-    nkae.run_experiment(nkae.ExperimentConfig(out_dir=sys.argv[2], train_config=train, **grid))
+import nkae.cli
+out, spec = sys.argv[2], json.loads(sys.argv[3])
+os.makedirs(out, exist_ok=True)
+if "sweep" in spec:
+    sweep = spec["sweep"]
+    train = nkae.TrainConfig(**sweep.pop("train_config"))
+    grid = {key: tuple(v) if isinstance(v, list) else v for key, v in sweep.items()}
+    nkae.run_experiment(nkae.ExperimentConfig(out_dir=out, train_config=train, **grid))
+for argv in spec.get("commands", []):  # `nkae ARGV`, with {out} the output directory
+    status = nkae.cli.cli_main([arg.replace("{out}", out) for arg in argv])
+    if status:
+        sys.exit(status)
 """
 
 
@@ -71,35 +88,38 @@ def _workloads():
 
 
 def configs() -> dict:
-    """Config name -> ExperimentConfig fields, `train_config` as TrainConfig fields,
-    or {"argv": the command-line arguments of `nkae`, without `--out-dir`}."""
+    """Config name -> {"sweep": ExperimentConfig fields, `train_config` as TrainConfig
+    fields} and/or {"commands": `nkae` argument lists, run after the sweep}."""
     criterion_3 = {
         "master_seed": 3003, "n_grid": [20], "k_grid": [5], "archs": ["nan", "ann", "nn"],
         "runs": 2, "workers": 1, "train_config": {"seed": 0},
     }
-    out = {"criterion-3": criterion_3}
+    sweeps = {"criterion-3": criterion_3}
     for name, extra in (("decoder-bias", {"decoder_bias": True}),
                         ("tanh", {"decoder_activation": "tanh"}),
                         ("linear", {"decoder_activation": "linear"}),
                         ("r200", {"r": 200.0})):
-        out[f"criterion-3-{name}"] = dict(criterion_3, train_config={"seed": 0, **extra})
-    out["criterion-3-fresh-adjacent-pool"] = dict(
+        sweeps[f"criterion-3-{name}"] = dict(criterion_3, train_config={"seed": 0, **extra})
+    sweeps["criterion-3-fresh-adjacent-pool"] = dict(
         criterion_3, fresh_data_per_run=True, neighbor_mode="adjacent", workers=2
     )
     for n in (200, 1000):
-        out[f"n{n}-decoder-bias"] = dict(
+        sweeps[f"n{n}-decoder-bias"] = dict(
             criterion_3, n_grid=[n], archs=["nan", "ann"], runs=1,
             train_config={"seed": 0, "iterations": 200, "decoder_bias": True},
         )
     bench = _workloads()
     for w in bench.WORKLOADS.values():
-        out[w.name] = {
+        sweeps[w.name] = {
             "master_seed": 1, "n_grid": list(w.n_grid), "k_grid": list(w.k_grid),
             "archs": list(bench.ARCHS), "runs": w.runs, "workers": 1,
             "train_count": bench.EXAMPLES, "test_count": bench.EXAMPLES,
             "train_config": {"iterations": w.iterations},
         }
-    out["train-ann-n20-k5-decoder-bias"] = {"argv": TRAIN_ARGV}
+    out = {name: {"sweep": sweep} for name, sweep in sweeps.items()}
+    out["train-ann-n20-k5-decoder-bias"] = {"commands": [TRAIN_ARGV]}
+    out["criterion-3-plotdata"] = {"sweep": criterion_3, "commands": PLOTDATA_ARGVS}
+    out["gen-landscape-dataset"] = {"commands": DATAGEN_ARGVS}
     return out
 
 
