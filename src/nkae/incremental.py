@@ -11,12 +11,15 @@ Reconstruction is tracked per judge. A judge is one reconstruction
 objective: nan has h of them, judge j owning neuron j's encoder row, hidden
 bias and decoder; ann has one, the decoder layer; nn has none. Row g of
 ``comp_sums`` holds judge g's squared reconstruction errors summed per input
-component, and ``ae[g]`` is their mean over examples and components. A
-proposal is staged as one of three kinds: ``task`` (the output node, and
-every nn hidden-node change, which only the task judges), ``hidden`` (a nan
-or ann encoder weight or hidden bias) and ``decoder`` (a nan or ann decoder
-weight or bias, which moves one component of one judge). ``propose`` returns
-the incumbent and candidate values of the objective its kind names.
+component, and ``ae[g]`` is their mean over examples and components.
+``propose`` stages two facts with each proposal: the hidden node j whose
+activation it moves (any encoder weight or hidden bias, nn's too) and the
+judge g that scores it (nan's neuron, ann's 0, or None when the task judges:
+the output node and every nn change). ``accept`` writes hidden column j when
+j is set, then commits the task when g is None, and otherwise judge g's row
+(a hidden proposal) or the one component of it that a decoder weight or bias
+moves. ``propose`` returns the incumbent and candidate values of g's
+objective.
 
 A hidden proposal of nan or ann moves a whole judge's reconstruction, an
 (m, n) array for m examples. It is never written out: the kernel walks the
@@ -53,7 +56,7 @@ import numpy as np
 
 from .errors import ParameterError
 from . import networks as nets
-from .networks import TASK_LAYERS, Coord
+from .networks import Coord
 
 # The largest |cached - from-scratch| objective gap a run's audit tolerates.
 AUDIT_TOL = 1e-12
@@ -215,10 +218,6 @@ class EvalCache:
                 buf[:e - s + 1].sum(axis=0, out=sums)
         return sums
 
-    def _judge(self, coord: Coord) -> int:
-        """Row of `comp_sums` and `ae` that judges an autoencode coordinate."""
-        return coord.row if self.net.arch == "nan" else 0
-
     # -- public API ------------------------------------------------------------
 
     def propose(self, coord: Coord, delta: float) -> tuple[float, float]:
@@ -229,12 +228,14 @@ class EvalCache:
         net = self.net
         flat = net.index(coord)
         layer, r, c = coord
+        j = None  # the hidden node whose activation moves
         if layer == "output_w":
             np.multiply(self.h_act[:, r], delta, out=self._c3)
             self._c3 += self.out_pre
         elif layer == "output_bias":
             np.add(self.out_pre, delta, out=self._c3)
         elif layer in ("encoder", "hidden_bias"):
+            j = r
             if layer == "encoder":
                 np.multiply(self.X[:, c], delta, out=self._c1)
                 self._c1 += self.h_pre[:, r]
@@ -249,18 +250,18 @@ class EvalCache:
                 self._c3 += self.out_pre
             else:
                 if net.arch == "nan":
-                    sums = self._nan_sums(r, self._c2)
+                    g, sums = r, self._nan_sums(r, self._c2)
                 else:
-                    sums = self._col_sums(self._c3, net.decoder[:, r], self.dec_pre,
-                                          clip=self._needs_clamp(0))
+                    g, sums = 0, self._col_sums(self._c3, net.decoder[:, r], self.dec_pre,
+                                                clip=self._needs_clamp(0))
                 cand = float(sums.sum()) / (self.m * self.n)
-                self._pending = ("hidden", coord, flat, delta, cand, sums)
-                return self.ae[self._judge(coord)], cand
+                self._pending = (flat, delta, j, g, cand, sums)
+                return self.ae[g], cand
         else:
             # a decoder weight or bias: _c1 gets the candidate pre-activations
             # of the one reconstructed component i it moves
             if net.arch == "nan":
-                i = c
+                g, i = r, c
                 if layer == "decoder":
                     np.multiply(self.h_act[:, r], net.decoder[r, i] + delta, out=self._c1)
                     if net.decoder_bias is not None:
@@ -269,7 +270,7 @@ class EvalCache:
                     np.multiply(self.h_act[:, r], net.decoder[r, i], out=self._c1)
                     self._c1 += net.decoder_bias[r, i] + delta
             else:
-                i = r
+                g, i = 0, r
                 if layer == "decoder":
                     np.multiply(self.h_act[:, c], delta, out=self._c1)
                     self._c1 += self.dec_pre[:, i]
@@ -279,34 +280,28 @@ class EvalCache:
             col -= self.X[:, i]
             np.multiply(col, col, out=col)
             s_new = float(col.sum())
-            g = self._judge(coord)
             total = float(self.comp_sums[g].sum()) - float(self.comp_sums[g, i]) + s_new
             cand = total / (self.m * self.n)
-            self._pending = ("decoder", coord, flat, delta, cand, (i, s_new))
+            self._pending = (flat, delta, None, g, cand, (i, s_new))
             return self.ae[g], cand
         cand = self._task_from(self._c3)
-        self._pending = ("task", coord, flat, delta, cand, None)
+        self._pending = (flat, delta, j, None, cand, None)
         return self.task_mse, cand
 
     def accept(self) -> None:
         """Apply the pending mutation to the network and commit staged state."""
         if self._pending is None:
             raise ParameterError("no proposal is pending")
-        kind, coord, flat, delta, cand, staged = self._pending
+        flat, delta, j, g, cand, staged = self._pending
         net = self.net
         net.params[flat] += delta
-        j = coord.row
-
-        if kind == "task":
-            if coord.layer not in TASK_LAYERS:
-                self.h_pre[:, j] = self._c1
-                self.h_act[:, j] = self._c2
-            self.out_pre, self._c3 = self._c3, self.out_pre
-            self.task_mse = cand
-        elif kind == "hidden":
-            g = self._judge(coord)
+        if j is not None:
             self.h_pre[:, j] = self._c1
             self.h_act[:, j] = self._c2
+        if g is None:
+            self.out_pre, self._c3 = self._c3, self.out_pre
+            self.task_mse = cand
+        elif j is not None:
             # _c3 still holds the activation shift from propose()
             if net.arch == "ann":
                 # dec_pre += outer(shift, decoder column j), one block of examples at a time
@@ -320,7 +315,6 @@ class EvalCache:
             self.ae[g] = cand
             self.task_mse = self._task_from(self.out_pre)
         else:
-            g = self._judge(coord)
             i, s_new = staged
             if net.arch == "ann":
                 self.dec_pre[:, i] = self._c1
