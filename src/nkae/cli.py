@@ -201,7 +201,7 @@ def _load_sample(path: str, column: str) -> list:
         for lineno, line in enumerate(lines, start=1):
             if line.strip():
                 try:
-                    values.append(finite_float(line.split(",")[0]))
+                    values.append(finite_float(line))
                 except ParameterError as exc:
                     raise ParameterError(f"{path}:{lineno}: a sample value {exc}; with no {column!r} "
                                          "column, a sample file holds one value per line") from None

@@ -298,7 +298,8 @@ def test_stats_compare_bad_sample_exits_one(tmp_path, capsys, row, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "x"])
+# "0.2,9": a plain list holds one value per line, not a first column
+@pytest.mark.parametrize("value", ["nan", "inf", "x", "0.2,9"])
 def test_stats_compare_plain_list_needs_finite_values(tmp_path, capsys, value):
     sample = tmp_path / "s.csv"
     sample.write_text(f"0.1\n{value}\n0.3\n0.2\n")
