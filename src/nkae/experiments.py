@@ -30,7 +30,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -141,8 +140,7 @@ class TrialSpec:
     data: DataSpec
     arch: str
     run: int
-    trial_seed: int
-    train_config: hillclimb.TrainConfig
+    train_config: hillclimb.TrainConfig  # seeded with the trial's derived seed
     cell_dir: str
 
 
@@ -188,16 +186,15 @@ def run_trial(spec: TrialSpec, datasets=None) -> TrialResult:
     """Train on `datasets` (default: the cell's, regenerated from seeds) and write the artifacts."""
     paths = run_paths(spec.cell_dir, spec.arch, spec.run)
     train_set, test_set = cell_datasets(spec.data) if datasets is None else datasets
-    config = replace(spec.train_config, seed=spec.trial_seed)
     start = time.perf_counter()
-    network, log = hillclimb.train(spec.arch, train_set, test_set, config)
+    network, log = hillclimb.train(spec.arch, train_set, test_set, spec.train_config)
     duration_ms = (time.perf_counter() - start) * 1000.0
     Path(spec.cell_dir).mkdir(parents=True, exist_ok=True)
     _write_atomic(paths["cycles"], lambda p: hillclimb.write_cycle_log(log, p))
     _write_atomic(paths["snapshots"], lambda p: hillclimb.write_snapshot_log(log.snapshots, p))
     _write_atomic(paths["network"], lambda p: nets.save_network(network, p))
     result = TrialResult(
-        spec.data.n, spec.data.k, spec.arch, spec.run, spec.trial_seed,
+        spec.data.n, spec.data.k, spec.arch, spec.run, spec.train_config.seed,
         log.final_train_task_mse, log.final_test_task_mse, log.final_ae_mse,
         duration_ms,
     )
@@ -217,7 +214,7 @@ def _load_trial_result(spec: TrialSpec) -> TrialResult:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ParameterError(f"{path}: invalid {key} {value!r}")
         values.append(value)
-    identity = (spec.data.n, spec.data.k, spec.arch, spec.run, spec.trial_seed)
+    identity = (spec.data.n, spec.data.k, spec.arch, spec.run, spec.train_config.seed)
     if tuple(values[:5]) != identity:
         raise ParameterError(
             f"{path}: holds trial {tuple(values[:5])}, expected (n, k, arch, run, seed) = {identity}"
@@ -244,8 +241,9 @@ def build_trial_specs(config: ExperimentConfig) -> list[TrialSpec]:
             )
             data = DataSpec(n, k, landscape_seed, requests, config.neighbor_mode)
             for arch in config.archs:
-                trial_seed = derive_seed(master, PURPOSE_TRIAL, n, k, ARCH_CODES[arch], run)
-                specs.append(TrialSpec(data, arch, run, trial_seed, config.train_config, directory))
+                seed = derive_seed(master, PURPOSE_TRIAL, n, k, ARCH_CODES[arch], run)
+                train_config = replace(config.train_config, seed=seed)
+                specs.append(TrialSpec(data, arch, run, train_config, directory))
     return specs
 
 
@@ -282,6 +280,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     workers = min(config.workers, len(pending), os.cpu_count() or 1)
     try:
         if workers > 1:
+            # imported here: it loads `multiprocessing`, which only a pool needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results.extend(pool.map(run_trial, pending))
         else:

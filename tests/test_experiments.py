@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,12 +164,22 @@ class SerialPool:
 )
 def test_worker_pool_sized_to_pending_trials_and_cpus(tmp_path, monkeypatch,
                                                        archs, runs, workers, cpus, sizes):
-    monkeypatch.setattr(exps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(exps.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(SerialPool, "sizes", [])
     config = tiny_config(tmp_path / "out", runs=runs, archs=archs, workers=workers)
     assert len(run_experiment(config)) == len(archs) * runs
     assert SerialPool.sizes == sizes
+
+
+def test_import_loads_no_process_pool():
+    # only a sweep with workers > 1 needs them, so `import nkae` leaves them out
+    src = str(Path(exps.__file__).resolve().parents[1])
+    code = ("import sys, nkae; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_deleted_trial_regenerated_identically(tmp_path):

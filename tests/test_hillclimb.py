@@ -1,6 +1,5 @@
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,9 +437,8 @@ def test_snapshots_within_1e12_of_scratch_and_last_row_is_the_result(tmp_path, a
     records = read_cycle_log(paths["cycles"])
     snapshots = read_snapshot_log(paths["snapshots"])
     assert [s.iteration for s in snapshots] == list(range(30, 301, 30))
-    train_config = replace(spec.train_config, seed=spec.trial_seed)
     for snap in snapshots:
-        net = replay_final_network(arch, 10, train_config, records[:snap.iteration])
+        net = replay_final_network(arch, 10, spec.train_config, records[:snap.iteration])
         scratch = (nets.task_mse(net, train_set), nets.ae_mse(net, train_set),
                    nets.task_mse(net, test_set))
         values = (snap.train_task_mse, snap.train_ae_mse, snap.test_task_mse)
