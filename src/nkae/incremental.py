@@ -36,11 +36,13 @@ The kernel's passes are the cheapest numpy calls that keep those bits. An
 outer product is ``einsum("i,j->ij")``, which rounds each product as
 ``multiply.outer`` does but writes a zero product as +0.0; the sign of a
 zero pre-activation never reaches a sum, since exp(±0) = 1 and every error
-is squared. On rows of 2 to ``EINSUM_SUM_MAX_N`` components the carry-row
-sum is ``einsum("ij->j")``, which adds the rows in the same order as
-``sum(axis=0)``. Errors are squared by ``square``, which is ``x * x`` in a
-faster loop. A sigmoid decoder clamps its pre-activations to
-[-CLAMP, CLAMP] only when the judge's decoder could reach past it (see
+is squared. So ``refresh`` builds every judge's row through the kernel of a
+hidden proposal, ann's with a zero activation shift: a +0.0 product plus or
+minus ``x`` is exactly ``x`` or ``-x``. On rows of 2 to ``EINSUM_SUM_MAX_N``
+components the carry-row sum is ``einsum("ij->j")``, which adds the rows in
+the same order as ``sum(axis=0)``. Errors are squared by ``square``, which
+is ``x * x`` in a faster loop. A sigmoid decoder clamps its pre-activations
+to [-CLAMP, CLAMP] only when the judge's decoder could reach past it (see
 ``_needs_clamp``).
 
 Correctness is defined by the from-scratch evaluators in ``networks``;
@@ -104,18 +106,15 @@ class EvalCache:
         self.h_act = nets.sigmoid_vec(self.h_pre)
         self.out_pre = self.h_act @ net.output_w + net.output_bias
         self.task_mse = self._task_from(self.out_pre)
-        if net.arch == "nan":
-            self.comp_sums = np.empty((self.h, self.n))
-            for j in range(self.h):
-                self.comp_sums[j] = self._nan_sums(j, self.h_act[:, j])
-        elif net.arch == "ann":
+        if net.arch == "ann":
             self.dec_pre = self.h_act @ net.decoder.T
             if net.decoder_bias is not None:
                 self.dec_pre += net.decoder_bias
-            self.comp_sums = self._col_sums(None, None, self.dec_pre,
-                                            clip=self._needs_clamp(0))[None]
-        else:
-            self.comp_sums = np.empty((0, self.n))
+        judges = {"nan": self.h, "ann": 1, "nn": 0}[net.arch]
+        self.comp_sums = np.empty((judges, self.n))
+        zero = np.zeros(self.m)
+        for g in range(judges):
+            self.comp_sums[g] = self._judge_sums(g, self.h_act[:, g], zero)
         self.ae = (self.comp_sums.sum(axis=1) / (self.m * self.n)).tolist()
 
     # -- helpers ---------------------------------------------------------------
@@ -155,15 +154,21 @@ class EvalCache:
             bound = rows.max() + 1.0
         return bool(bound > nets.CLAMP)
 
-    def _nan_sums(self, j, act_col):
-        """Neuron j's per-component error sums for the hidden activations `act_col`."""
-        b = None if self.net.decoder_bias is None else self.net.decoder_bias[j]
-        return self._col_sums(act_col, self.net.decoder[j], b, clip=self._needs_clamp(j))
+    def _judge_sums(self, j, act, shift):
+        """Per-component error sums of the judge that hidden node j feeds, for
+        j's activations `act`, which differ from the cached ones by `shift`:
+        nan neuron j scores ``outer(act, decoder[j]) + decoder_bias[j]``, ann's
+        layer ``dec_pre + outer(shift, decoder[:, j])``."""
+        net = self.net
+        if net.arch == "nan":
+            b = None if net.decoder_bias is None else net.decoder_bias[j]
+            return self._col_sums(act, net.decoder[j], b, clip=self._needs_clamp(j))
+        return self._col_sums(shift, net.decoder[:, j], self.dec_pre, clip=self._needs_clamp(0))
 
     def _col_sums(self, act, d, base, clip):
         """Squared reconstruction errors of the decoder pre-activations
-        ``outer(act, d) + base``, summed per component (``base`` alone when `act`
-        is None). `base` is None, one (n,) row or an (m, n) array.
+        ``outer(act, d) + base``, summed per component. `base` is None, one (n,)
+        row or an (m, n) array.
 
         The examples are walked in blocks of `_rows` rows through the
         ``(_rows + 1, n)`` scratch `_buf`, whose row 0 carries the running
@@ -185,22 +190,17 @@ class EvalCache:
         """
         activation = self.net.decoder_activation
         sign = -1.0 if activation == "sigmoid" else 1.0
-        if act is not None:
-            d = d * sign
+        d = d * sign
         buf, sums = self._buf, np.zeros(self.n)
         narrow = 2 <= self.n <= EINSUM_SUM_MAX_N
         for s, e in self._blocks():
-            blk = buf[1:e - s + 1]
+            blk = nets.einsum("i,j->ij", act[s:e], d, out=buf[1:e - s + 1])
             part = base[s:e] if base is not None and base.ndim == 2 else base
-            if act is None:
-                np.multiply(part, sign, out=blk)
-            else:
-                nets.einsum("i,j->ij", act[s:e], d, out=blk)
-                if part is not None:
-                    if sign < 0:
-                        blk -= part
-                    else:
-                        blk += part
+            if part is not None:
+                if sign < 0:
+                    blk -= part
+                else:
+                    blk += part
             if activation == "sigmoid":
                 if clip:
                     nets.clip_ufunc(blk, -nets.CLAMP, nets.CLAMP, out=blk)
@@ -249,11 +249,8 @@ class EvalCache:
                 self._c3 *= net.output_w[r]
                 self._c3 += self.out_pre
             else:
-                if net.arch == "nan":
-                    g, sums = r, self._nan_sums(r, self._c2)
-                else:
-                    g, sums = 0, self._col_sums(self._c3, net.decoder[:, r], self.dec_pre,
-                                                clip=self._needs_clamp(0))
+                g = r if net.arch == "nan" else 0
+                sums = self._judge_sums(r, self._c2, self._c3)
                 cand = float(sums.sum()) / (self.m * self.n)
                 self._pending = (flat, delta, j, g, cand, sums)
                 return self.ae[g], cand

@@ -158,11 +158,8 @@ class Network:
         self.task_start = self.layout["output_w"][0]
         self.params = np.zeros(self.task_start + h + 1)
         self._views = {}
-        self._blocks = []   # (layer, offset, end, cols) in flat order
         for name, (offset, shape) in self.layout.items():
-            end = offset + math.prod(shape)
-            self._views[name] = self.params[offset:end].reshape(shape)
-            self._blocks.append((name, offset, end, (shape + (1, 1))[1]))
+            self._views[name] = self.params[offset:offset + math.prod(shape)].reshape(shape)
 
     def copy(self) -> Network:
         twin = Network(self.arch, self.n, self.h, decoder_bias=self.decoder_bias is not None,
@@ -183,9 +180,9 @@ class Network:
 
     def coord(self, u: int) -> Coord:
         """The coordinate at flat index u."""
-        for layer, offset, end, cols in self._blocks:
-            if u < end:
-                row, col = divmod(u - offset, cols)
+        for layer, (offset, shape) in self.layout.items():
+            if 0 <= u < offset + math.prod(shape):
+                row, col = divmod(u - offset, (shape + (1, 1))[1])
                 return Coord(layer, row, col)
         raise ParameterError(f"flat index {u} out of range for {self.params.size} parameters")
 

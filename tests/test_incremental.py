@@ -174,6 +174,31 @@ def test_block_size_does_not_change_results(monkeypatch, elems, arch, decoder_bi
     assert same_network(blocked.net, whole.net)
 
 
+@pytest.mark.parametrize("elems", [16, 2**16], ids=["2-rows", "1-block"])
+@pytest.mark.parametrize("decoder_bias, arch, decoder_activation",
+                         [walk for walk in WALKS if walk.values[1] != "nn"])
+def test_refresh_rows_equal_one_full_array(monkeypatch, elems, arch, decoder_bias,
+                                           decoder_activation):
+    monkeypatch.setattr(incremental, "BLOCK_ELEMS", elems)
+    net, ds, cache = make_cache(arch, count=31, decoder_bias=decoder_bias,
+                                decoder_activation=decoder_activation)
+    X = ds.inputs
+    act = nets.hidden_batch(net, X)
+    if arch == "nan":
+        pres = [np.multiply.outer(act[:, j], net.decoder[j]) for j in range(net.h)]
+        biases = [None] * net.h if net.decoder_bias is None else list(net.decoder_bias)
+    else:
+        pres, biases = [act @ net.decoder.T], [net.decoder_bias]
+    assert cache.comp_sums.shape == (len(pres), 8)
+    for row, pre, bias in zip(cache.comp_sums, pres, biases, strict=True):
+        if bias is not None:
+            pre += bias
+        rec = nets._dec_act_vec(net.decoder_activation, pre, out=pre)
+        rec -= X
+        np.multiply(rec, rec, out=rec)
+        assert np.array_equal(bits(row), bits(rec.sum(axis=0)))
+
+
 def full_neuron_sums(net, j, act, X):
     """Neuron j's per-component error sums through one (m, n) array, clamped."""
     pre = np.multiply.outer(act, net.decoder[j])

@@ -105,6 +105,9 @@ def check_flat_layout(arch, decoder_bias, sizes, n=20, h=10):
     # or task_start + u (task), both through pick_coordinate's draw.
     for u in range(net.params.size):
         assert net.index(net.coord(u)) == u
+    for u in (-1, net.params.size):
+        with pytest.raises(ParameterError, match="out of range"):
+            net.coord(u)
     for u, coord in enumerate(ae):
         assert pick_coordinate(net, "autoencode", FixedDraw(u)) == coord
         assert net.index(coord) == u

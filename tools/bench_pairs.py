@@ -7,11 +7,21 @@ Pair i runs `benchmarks/run.py --workload W --seed S --trace T` once in each
 checkout, each with its own benchmark files, on seed S, the i-th of
 `--seeds`. Even-numbered pairs (from 0) run the parent first and odd ones
 the change first. Every run's metrics go to `--out`, with the environment
-the first run printed and, per metric, each side's median and quartiles and
+the first run printed, each checkout's commit (read before the first pair;
+a directory without git, such as a `git archive` export, is recorded as
+"not a git checkout") and, per metric, each side's median and quartiles and
 the number of pairs in which the change read better, worse or the same, by
-the direction `BENCHMARK.json` gives. An existing `--out` file keeps its
-other (workload, trace) entries, so one file can hold several workloads.
-Exits 1 if a run fails or its output checks fail.
+the direction `BENCHMARK.json` gives. Each metric also gets two verdicts:
+
+- `claim_met`: the change read better in at least 9 of 10 pairs (a tie
+  counts for neither side), and its median is better than the parent's by
+  more than the parent's q3 - q1, so a gain may be claimed;
+- `within_bound`: the change's median is worse than the parent's by at most
+  the relative `bound` of `BENCHMARK.json` (null for a metric with none).
+
+An existing `--out` file keeps its other (workload, trace) entries, so one
+file can hold several workloads. Exits 1 if a run fails or its output checks
+fail.
 """
 
 from __future__ import annotations
@@ -39,8 +49,11 @@ def _git_state(checkout: Path) -> str:
         return subprocess.run(["git", "-C", str(checkout), *argv], capture_output=True,
                               text=True, check=True).stdout.strip()
 
-    return git("rev-parse", "--short", "HEAD") + (" with uncommitted changes"
-                                                  if git("status", "--porcelain") else "")
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+    except subprocess.CalledProcessError:
+        return "not a git checkout"
+    return head + (" with uncommitted changes" if git("status", "--porcelain") else "")
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> tuple:
@@ -63,20 +76,31 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, declared: dict) -> dict:
+    """Per metric, both sides' spreads, the pair counts and the two verdicts;
+    `declared` maps a metric's name to its `BENCHMARK.json` entry."""
     out = {}
     for name in pairs[0]["parent"]:
+        metric = declared.get(name, {})
+        better = metric.get("better", "lower")
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
-        sign = 1 if better.get(name, "lower") == "lower" else -1
+        sign = 1 if better == "lower" else -1
         diffs = [sign * (p - c) for p, c in zip(parent, change)]
+        wins = sum(d > 0 for d in diffs)
+        par, chg = _spread(parent), _spread(change)
+        # the change's median gain over the parent's, positive when better
+        gain = sign * (par["median"] - chg["median"])
+        bound = metric.get("bound")
         out[name] = {
-            "better": better.get(name, "lower"),
-            "parent": _spread(parent),
-            "change": _spread(change),
-            "change_better": sum(d > 0 for d in diffs),
+            "better": better,
+            "parent": par,
+            "change": chg,
+            "change_better": wins,
             "change_worse": sum(d < 0 for d in diffs),
             "same": sum(d == 0 for d in diffs),
+            "claim_met": 10 * wins >= 9 * len(diffs) and gain > par["q3"] - par["q1"],
+            "within_bound": None if bound is None else -gain <= bound * abs(par["median"]),
         }
     return out
 
@@ -93,8 +117,9 @@ def main(argv=None) -> int:
     if not (parent / "benchmarks" / "run.py").is_file():
         parser.error(f"{parent} has no benchmarks/run.py")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"] + declared["per_layer"]}
     sides = {"parent": parent, "change": ROOT}
+    checkouts = {side: _git_state(path) for side, path in sides.items()}
     pairs, environment = [], None
     for i, seed in enumerate(args.seeds):
         pair = {"seed": seed, "first": "parent" if i % 2 == 0 else "change"}
@@ -105,9 +130,9 @@ def main(argv=None) -> int:
         pairs.append(pair)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["environment"] = environment
-    record["checkouts"] = {side: _git_state(path) for side, path in sides.items()}
+    record["checkouts"] = checkouts
     record.setdefault("runs", {})[f"{args.workload} --trace {args.trace}"] = {
-        "pairs": pairs, "summary": summarize(pairs, better),
+        "pairs": pairs, "summary": summarize(pairs, metrics),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
