@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -21,3 +22,12 @@ def read_tree(root):
         for p in sorted(Path(root).rglob("*"))
         if p.is_file() and p.name != "timings.csv"
     }
+
+
+def load_tool(name):
+    """The module `tools/<name>.py`, which is a script rather than a package."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

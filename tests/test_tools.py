@@ -1,27 +1,36 @@
 """Tests of the maintenance scripts under `tools/`."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+from helpers import load_tool
 
 
 @pytest.fixture
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_pairs")
+
+
+@pytest.fixture
+def same_trees():
+    return load_tool("same_trees")
+
+
+def plain_parent(tmp_path):
+    """A parent checkout without git that holds only `benchmarks/run.py`."""
+    parent = tmp_path / "parent"
+    (parent / "benchmarks").mkdir(parents=True)
+    (parent / "benchmarks" / "run.py").write_text("")
+    return parent
 
 
 def test_bench_pairs_reads_git_state_first_and_takes_a_plain_directory(
         bench_pairs, monkeypatch, tmp_path):
-    parent = tmp_path / "parent"
-    (parent / "benchmarks").mkdir(parents=True)
-    (parent / "benchmarks" / "run.py").write_text("")
+    parent = plain_parent(tmp_path)
+    # this checkout may hold compiled modules from earlier runs; that refusal
+    # has its own test
+    monkeypatch.setattr(bench_pairs, "_bytecode", lambda checkout: None)
     events = []
     git_state = bench_pairs._git_state
 
@@ -42,6 +51,24 @@ def test_bench_pairs_reads_git_state_first_and_takes_a_plain_directory(
     record = json.loads(out.read_text())
     assert record["checkouts"]["parent"] == "not a git checkout"
     assert record["checkouts"]["change"] != "not a git checkout"
+
+
+def test_bench_pairs_refuses_a_checkout_with_compiled_modules(
+        bench_pairs, monkeypatch, tmp_path, capsys):
+    parent = plain_parent(tmp_path)
+    cache = parent / "src" / "nkae" / "__pycache__"
+    cache.mkdir(parents=True)
+    runs = []
+
+    def fake_run_once(checkout, workload, seed, trace):
+        runs.append(checkout)
+        return {"sweep_ref": 1.0}, {"numpy": "x"}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main([str(parent), "--workload", "w", "--seeds", "1",
+                             "--out", str(tmp_path / "pairs.json")]) == 1
+    assert runs == []
+    assert str(cache) in capsys.readouterr().err
 
 
 def pairs_of(parent, change):
@@ -80,3 +107,31 @@ def test_bench_pairs_metric_without_bound_has_no_bound_verdict(bench_pairs):
     summary = bench_pairs.summarize(pairs_of(PARENT, [9.0] * 10), {"m": {"better": "lower"}})
     assert summary["m"]["claim_met"] is True
     assert summary["m"]["within_bound"] is None
+
+
+HEADER = "iter,train_task_mse,train_ae_mse,test_task_mse\n"
+ROWS = ["0,0.5,0.25,0.5\n", "10,0.4,0.2,0.45\n", "20,0.3,0.1,0.35\n"]
+
+
+def snapshot_logs(tmp_path, a_rows, b_rows):
+    a, b = tmp_path / "a_snapshots.csv", tmp_path / "b_snapshots.csv"
+    a.write_text(HEADER + "".join(a_rows))
+    b.write_text(HEADER + "".join(b_rows))
+    return a, b
+
+
+@pytest.mark.parametrize("changed, last", [(0, "matches"), (2, "DIFFERS")])
+def test_snapshot_difference_reports_a_moved_and_an_emptied_cell(same_trees, tmp_path,
+                                                                   changed, last):
+    # row `changed`: train_task_mse moved by 1e-13, train_ae_mse emptied
+    rows = list(ROWS)
+    cells = rows[changed].split(",")
+    rows[changed] = ",".join([cells[0], repr(float(cells[1]) + 1e-13), "", cells[3]])
+    report = same_trees.snapshot_difference(*snapshot_logs(tmp_path, ROWS, rows))
+    assert report == (f"max |delta| 1e-13; iter column matches; empty cells DIFFER; "
+                      f"last row {last}")
+
+
+def test_snapshot_difference_reports_logs_of_different_lengths(same_trees, tmp_path):
+    report = same_trees.snapshot_difference(*snapshot_logs(tmp_path, ROWS, ROWS[:2]))
+    assert report == "row or cell counts differ"

@@ -21,7 +21,9 @@ the direction `BENCHMARK.json` gives. Each metric also gets two verdicts:
 
 An existing `--out` file keeps its other (workload, trace) entries, so one
 file can hold several workloads. Exits 1 if a run fails or its output checks
-fail.
+fail, and, before the first pair, if either checkout has a
+`src/nkae/__pycache__`: a run imports the compiled modules there instead of
+compiling nkae's sources, so a one-sided or stale cache skews the pairs.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ def _git_state(checkout: Path) -> str:
     except subprocess.CalledProcessError:
         return "not a git checkout"
     return head + (" with uncommitted changes" if git("status", "--porcelain") else "")
+
+
+def _bytecode(checkout: Path):
+    """`checkout`'s compiled nkae modules, or None if it has none."""
+    cache = checkout / "src" / "nkae" / "__pycache__"
+    return cache if cache.is_dir() else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> tuple:
@@ -119,6 +127,11 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in declared["end_to_end"] + declared["per_layer"]}
     sides = {"parent": parent, "change": ROOT}
+    for cache in map(_bytecode, sides.values()):
+        if cache:
+            print(f"{cache} holds compiled modules that would skew the pairs: delete it, or "
+                  "benchmark `git archive` exports of both commits", file=sys.stderr)
+            return 1
     checkouts = {side: _git_state(path) for side, path in sides.items()}
     pairs, environment = [], None
     for i, seed in enumerate(args.seeds):

@@ -12,16 +12,19 @@ its numeric cells, and whether the `iter` column, the empty cells and the
 last row match: snapshot values that agree to 1e-12 still count as a
 difference.
 
-The fourteen configs are eleven sweeps, one `nkae train` run, one sweep
-followed by `nkae plotdata`, and one landscape and dataset. The sweeps
-are criterion 3's (tests/test_acceptance.py), the same sweep with decoder
-biases, with a tanh decoder, with a linear decoder, with r=200 (whose
-saturated sigmoids make exact ties, so the tie-break draw is taken; the
-default r=1 sweeps make none), and with fresh data per run, adjacent
-neighbours and two worker processes, an n=200 and an n=1000
+The nineteen configs are sixteen sweeps, one `nkae train` run, one sweep
+followed by `nkae plotdata`, and one landscape and dataset. Seven of them
+are also pinned by digest in Tier-1: tests/test_golden.py names them in its
+`GOLDEN` and runs them through `run_config`. Five sweeps exist for that test
+alone (master seed 7, 200 train and 100 test examples; see `configs()`).
+The other sweeps are criterion 3's (tests/test_acceptance.py), the same
+sweep with decoder biases, with a tanh decoder, with a linear decoder, with
+r=200 (whose saturated sigmoids make exact ties, so the tie-break draw is
+taken; the default r=1 sweeps make none), and with fresh data per run,
+adjacent neighbours and two worker processes, an n=200 and an n=1000
 nan+ann cell with decoder biases, and the three benchmark workloads of
 `benchmarks/workloads.py` at seed 1, built as `benchmarks/child.py` builds
-them. The two wide cells run their reconstruction kernels in several blocks
+them. The wide cells run their reconstruction kernels in several blocks
 of examples, where every n=20 config runs in one; at n=200 the kernels take
 the carry-row sum with `einsum`, and at n=1000 with `sum(axis=0)`. The run
 is `nkae train` with the flags of `TRAIN_ARGV`, whose four run files are
@@ -104,10 +107,25 @@ def configs() -> dict:
         criterion_3, fresh_data_per_run=True, neighbor_mode="adjacent", workers=2
     )
     for n in (200, 1000):
-        sweeps[f"n{n}-decoder-bias"] = dict(
+        sweeps[f"criterion-3-n{n}-decoder-bias"] = dict(
             criterion_3, n_grid=[n], archs=["nan", "ann"], runs=1,
             train_config={"seed": 0, "iterations": 200, "decoder_bias": True},
         )
+    # tests/test_golden.py pins these trees by digest; master seed 7 throughout
+    golden = {"master_seed": 7, "n_grid": [20], "k_grid": [5], "archs": ["nan", "ann", "nn"],
+              "runs": 1, "train_count": 200, "test_count": 100}
+    # both small k, every arch, one block of examples per kernel call
+    sweeps["n20-k2-k5"] = dict(golden, k_grid=[2, 5], runs=2, train_config={"iterations": 500})
+    # saturated sigmoids make exact ties, so the tie-break draw is taken
+    sweeps["n20-r200"] = dict(golden, train_config={"iterations": 500, "r": 200.0})
+    sweeps["n20-tanh-decoder-bias"] = dict(golden, archs=["nan", "ann"], train_config={
+        "iterations": 500, "decoder_activation": "tanh", "decoder_bias": True})
+    # two blocks of examples, carry-row sums by einsum
+    sweeps["n200-decoder-bias"] = dict(golden, n_grid=[200], archs=["nan", "ann"],
+                                       train_count=400,
+                                       train_config={"iterations": 200, "decoder_bias": True})
+    # four blocks of examples, carry-row sums by sum(axis=0)
+    sweeps["n1000"] = dict(golden, n_grid=[1000], k_grid=[2], train_config={"iterations": 60})
     bench = _workloads()
     for w in bench.WORKLOADS.values():
         sweeps[w.name] = {
