@@ -18,8 +18,8 @@ judge g that scores it (nan's neuron, ann's 0, or None when the task judges:
 the output node and every nn change). ``accept`` writes hidden column j when
 j is set, then commits the task when g is None, and otherwise judge g's row
 (a hidden proposal) or the one component of it that a decoder weight or bias
-moves. ``propose`` returns the incumbent and candidate values of g's
-objective.
+moves. ``propose`` treats a bias as a weight on the constant input 1.0, and
+returns the incumbent and candidate values of g's objective.
 
 A hidden proposal of nan or ann moves a whole judge's reconstruction, an
 (m, n) array for m examples. It is never written out: the kernel walks the
@@ -228,19 +228,17 @@ class EvalCache:
         net = self.net
         flat = net.index(coord)
         layer, r, c = coord
+        # a bias is a weight on the constant input 1.0: `multiply` broadcasts
+        # 1.0 * delta, which is delta exactly, and `pre + delta` commutes
+        bias = layer.endswith("bias")
         j = None  # the hidden node whose activation moves
-        if layer == "output_w":
-            np.multiply(self.h_act[:, r], delta, out=self._c3)
+        if layer in ("output_w", "output_bias"):
+            np.multiply(1.0 if bias else self.h_act[:, r], delta, out=self._c3)
             self._c3 += self.out_pre
-        elif layer == "output_bias":
-            np.add(self.out_pre, delta, out=self._c3)
         elif layer in ("encoder", "hidden_bias"):
             j = r
-            if layer == "encoder":
-                np.multiply(self.X[:, c], delta, out=self._c1)
-                self._c1 += self.h_pre[:, r]
-            else:
-                np.add(self.h_pre[:, r], delta, out=self._c1)
+            np.multiply(1.0 if bias else self.X[:, c], delta, out=self._c1)
+            self._c1 += self.h_pre[:, r]
             nets.sigmoid_vec(self._c1, out=self._c2)
             # _c3: the activation shift of hidden node r
             np.subtract(self._c2, self.h_act[:, r], out=self._c3)
@@ -258,21 +256,17 @@ class EvalCache:
             # a decoder weight or bias: _c1 gets the candidate pre-activations
             # of the one reconstructed component i it moves
             if net.arch == "nan":
+                # nan keeps no decoder pre-activations, so component i is rebuilt;
+                # a zero added to the unmoved term can only flip the sign of a zero
                 g, i = r, c
-                if layer == "decoder":
-                    np.multiply(self.h_act[:, r], net.decoder[r, i] + delta, out=self._c1)
-                    if net.decoder_bias is not None:
-                        self._c1 += net.decoder_bias[r, i]
-                else:
-                    np.multiply(self.h_act[:, r], net.decoder[r, i], out=self._c1)
-                    self._c1 += net.decoder_bias[r, i] + delta
+                np.multiply(self.h_act[:, r], net.decoder[r, i] + (0.0 if bias else delta),
+                            out=self._c1)
+                if net.decoder_bias is not None:
+                    self._c1 += net.decoder_bias[r, i] + (delta if bias else 0.0)
             else:
                 g, i = 0, r
-                if layer == "decoder":
-                    np.multiply(self.h_act[:, c], delta, out=self._c1)
-                    self._c1 += self.dec_pre[:, i]
-                else:
-                    np.add(self.dec_pre[:, i], delta, out=self._c1)
+                np.multiply(1.0 if bias else self.h_act[:, c], delta, out=self._c1)
+                self._c1 += self.dec_pre[:, i]
             col = nets._dec_act_vec(net.decoder_activation, self._c1, out=self._c2)
             col -= self.X[:, i]
             np.multiply(col, col, out=col)

@@ -291,6 +291,81 @@ def test_ann_clamps_decoder_pre_activations_above_clamp(monkeypatch, decoder_bia
             assert_same_cache(cache, always)
 
 
+def parent_outcome(cache, coord, delta):
+    """(candidate, comp_sums, task_mse) of proposing and accepting `coord +=
+    delta`, by the formulas of a propose with a branch per bias: a bias moves
+    its pre-activations to ``pre + delta``, a weight on input x to
+    ``pre + x * delta``, and nan's decoder pre-activations are rebuilt as
+    ``act * d + b`` with only the moved term changed."""
+    net, m, n = cache.net, cache.m, cache.n
+    layer, r, c = coord
+    sums, task = cache.comp_sums.copy(), cache.task_mse
+    if layer in ("output_w", "output_bias"):
+        move = delta if layer == "output_bias" else cache.h_act[:, r] * delta
+        err = nets.sigmoid_vec(cache.out_pre + move) - cache.y
+        task = float(err @ err) / m
+        return task, sums, task
+    if layer in ("encoder", "hidden_bias"):
+        move = delta if layer == "hidden_bias" else cache.X[:, c] * delta
+        act = nets.sigmoid_vec(cache.h_pre[:, r] + move)
+        shift = act - cache.h_act[:, r]
+        g = r if net.arch == "nan" else 0
+        sums[g] = cache._judge_sums(r, act, shift)
+        err = nets.sigmoid_vec(cache.out_pre + shift * net.output_w[r]) - cache.y
+        return float(sums[g].sum()) / (m * n), sums, float(err @ err) / m
+    if net.arch == "nan":
+        g, i = r, c
+        d, b = net.decoder[r, i], net.decoder_bias[r, i]
+        if layer == "decoder":
+            pre = cache.h_act[:, r] * (d + delta) + b
+        else:
+            pre = cache.h_act[:, r] * d + (b + delta)
+    else:
+        g, i = 0, r
+        move = delta if layer == "decoder_bias" else cache.h_act[:, c] * delta
+        pre = cache.dec_pre[:, i] + move
+    err = nets._dec_act_vec(net.decoder_activation, pre, out=pre) - cache.X[:, i]
+    s_new = float((err * err).sum())
+    cand = (float(sums[g].sum()) - float(sums[g, i]) + s_new) / (m * n)
+    sums[g, i] = s_new
+    return cand, sums, task
+
+
+# on the first pass, each decoder weight and bias is still -0.0 when it moves
+SIGNED_MOVES = (-0.0, 0.0, 0.5, -0.25)
+
+
+@pytest.mark.parametrize("decoder_activation", nets.DECODER_ACTIVATIONS)
+@pytest.mark.parametrize("arch", ["nan", "ann"])
+def test_signed_zero_decoder_proposals_keep_the_bits_of_branch_per_bias(arch,
+                                                                       decoder_activation):
+    """Every decoder weight and bias starts at -0.0 and is moved by +-0.0 and by
+    nonzero deltas; a bias is proposed as a weight on the constant input 1.0,
+    and the candidates, comp_sums and task MSE keep the bits of the formulas
+    in `parent_outcome`."""
+    net, ds, _ = make_cache(arch, decoder_bias=True, decoder_activation=decoder_activation)
+    net.decoder[...] = -0.0
+    net.decoder_bias[...] = -0.0
+    cache = EvalCache(net, ds)
+    every = [net.coord(flat) for flat in range(net.params.size)]
+    rng = np.random.default_rng(23)
+    coords = []
+    for layer in ("decoder", "decoder_bias"):
+        block = [coord for coord in every if coord.layer == layer]
+        coords += [block[k] for k in rng.permutation(len(block))]
+    coords += [nets.Coord("hidden_bias", 1, 0), nets.Coord("output_bias", 0, 0),
+               nets.Coord("encoder", 2, 5), nets.Coord("output_w", 0, 0)]
+    for step, coord in enumerate(coords * 2):
+        delta = SIGNED_MOVES[step % len(SIGNED_MOVES)]
+        cand, sums, task = parent_outcome(cache, coord, delta)
+        _, candidate = cache.propose(coord, delta)
+        assert candidate.hex() == cand.hex(), (coord, delta)
+        cache.accept()
+        assert np.array_equal(bits(cache.comp_sums), bits(sums)), (coord, delta)
+        assert cache.task_mse.hex() == task.hex(), (coord, delta)
+    assert divergence(cache, ds) < 1e-12
+
+
 def test_pending_protocol_enforced():
     net, _, cache = make_cache("nan")
     coord = nets.Coord("encoder", 0, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nkae import ParameterError, InapplicableTestError, shapiro_wilk, summarize, welch_t_test
+from nkae import stats
 
 # Reference W/p values computed with an independent trusted statistics stack
 # and frozen before the implementation was written.
@@ -204,3 +205,34 @@ def test_report_flag_tracks_alpha():
     assert strong.significant == (strong.p_value < 0.05)
     weak = welch_t_test([0.1, 0.2, 0.3], [0.12, 0.22, 0.29])
     assert weak.significant == (weak.p_value < 0.05)
+
+
+# Exact bits of the continued fraction, recorded before its two Lentz steps
+# were folded into one loop; the frozen references above pin only 1e-6 to
+# 1e-10. The last two `_betainc` cases take the x > (a + 1) / (a + b + 2)
+# branch, which evaluates the fraction at (b, a, 1 - x).
+T_BITS = [
+    ((2.0, 10.0), "0x1.2c98ee9420efbp-4"),
+    ((-0.5, 3.7), "0x1.4a696ea01ae88p-1"),
+    ((4.2, 57.3), "0x1.8b6dba42f16dfp-14"),
+    ((0.001, 1.0), "0x1.ffac8e979e4f3p-1"),
+    ((25.0, 2.0), "0x1.a26d2b6d6bdcfp-10"),
+    ((3.1, 18.0), "0x1.94f7c523a49ecp-8"),
+]
+BETAINC_BITS = [
+    ((0.5, 0.5, 0.3), "0x1.79ddc9edb550ap-2"),
+    ((2.0, 3.0, 0.4), "0x1.0cb295e9e1b07p-1"),
+    ((0.1, 50.0, 0.01), "0x1.e1e0533d886e7p-1"),
+    ((10.0, 0.5, 0.9), "0x1.368f825cef218p-3"),
+    ((120.0, 80.0, 0.62), "0x1.6e7fe907cf1bep-1"),
+]
+
+
+@pytest.mark.parametrize("args, expected", T_BITS)
+def test_t_two_sided_p_keeps_its_bits(args, expected):
+    assert stats._t_two_sided_p(*args).hex() == expected
+
+
+@pytest.mark.parametrize("args, expected", BETAINC_BITS)
+def test_betainc_keeps_its_bits(args, expected):
+    assert stats._betainc(*args).hex() == expected

@@ -1,5 +1,6 @@
 """Tests of the maintenance scripts under `tools/`."""
 
+import dataclasses
 import json
 
 import pytest
@@ -31,12 +32,14 @@ def test_bench_pairs_reads_git_state_first_and_takes_a_plain_directory(
     # this checkout may hold compiled modules from earlier runs; that refusal
     # has its own test
     monkeypatch.setattr(bench_pairs, "_bytecode", lambda checkout: None)
-    events = []
+    events, states = [], {}
     git_state = bench_pairs._git_state
 
     def spy_git_state(checkout):
+        # this checkout may be a git clone or an export; pin what it reports
         events.append("git")
-        return git_state(checkout)
+        states[checkout] = "abc1234" if checkout == bench_pairs.ROOT else git_state(checkout)
+        return states[checkout]
 
     def fake_run_once(checkout, workload, seed, trace):
         events.append("run")
@@ -49,8 +52,9 @@ def test_bench_pairs_reads_git_state_first_and_takes_a_plain_directory(
                              "--out", str(out)]) == 0
     assert events == ["git", "git", "run", "run", "run", "run"]
     record = json.loads(out.read_text())
-    assert record["checkouts"]["parent"] == "not a git checkout"
-    assert record["checkouts"]["change"] != "not a git checkout"
+    parent = parent.resolve()
+    assert states[parent] == "not a git checkout"
+    assert record["checkouts"] == {"parent": states[parent], "change": states[bench_pairs.ROOT]}
 
 
 def test_bench_pairs_refuses_a_checkout_with_compiled_modules(
@@ -135,3 +139,13 @@ def test_snapshot_difference_reports_a_moved_and_an_emptied_cell(same_trees, tmp
 def test_snapshot_difference_reports_logs_of_different_lengths(same_trees, tmp_path):
     report = same_trees.snapshot_difference(*snapshot_logs(tmp_path, ROWS, ROWS[:2]))
     assert report == "row or cell counts differ"
+
+
+def test_same_trees_configs_refuse_a_taken_name(same_trees, monkeypatch):
+    # a benchmark workload named like a golden sweep would replace that sweep
+    bench = same_trees._workloads()
+    clash = dataclasses.replace(next(iter(bench.WORKLOADS.values())), name="n1000")
+    monkeypatch.setattr(bench, "WORKLOADS", {clash.name: clash})
+    monkeypatch.setattr(same_trees, "_workloads", lambda: bench)
+    with pytest.raises(ValueError, match="'n1000'"):
+        same_trees.configs()

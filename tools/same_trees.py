@@ -90,6 +90,13 @@ def _workloads():
     return module
 
 
+def _add(table: dict, name: str, spec: dict) -> None:
+    """Add config `name` to `table`; a taken name would silently replace a config."""
+    if name in table:
+        raise ValueError(f"config name {name!r} is taken")
+    table[name] = spec
+
+
 def configs() -> dict:
     """Config name -> {"sweep": ExperimentConfig fields, `train_config` as TrainConfig
     fields} and/or {"commands": `nkae` argument lists, run after the sweep}."""
@@ -102,42 +109,42 @@ def configs() -> dict:
                         ("tanh", {"decoder_activation": "tanh"}),
                         ("linear", {"decoder_activation": "linear"}),
                         ("r200", {"r": 200.0})):
-        sweeps[f"criterion-3-{name}"] = dict(criterion_3, train_config={"seed": 0, **extra})
-    sweeps["criterion-3-fresh-adjacent-pool"] = dict(
+        _add(sweeps, f"criterion-3-{name}", dict(criterion_3, train_config={"seed": 0, **extra}))
+    _add(sweeps, "criterion-3-fresh-adjacent-pool", dict(
         criterion_3, fresh_data_per_run=True, neighbor_mode="adjacent", workers=2
-    )
+    ))
     for n in (200, 1000):
-        sweeps[f"criterion-3-n{n}-decoder-bias"] = dict(
+        _add(sweeps, f"criterion-3-n{n}-decoder-bias", dict(
             criterion_3, n_grid=[n], archs=["nan", "ann"], runs=1,
             train_config={"seed": 0, "iterations": 200, "decoder_bias": True},
-        )
+        ))
     # tests/test_golden.py pins these trees by digest; master seed 7 throughout
     golden = {"master_seed": 7, "n_grid": [20], "k_grid": [5], "archs": ["nan", "ann", "nn"],
               "runs": 1, "train_count": 200, "test_count": 100}
     # both small k, every arch, one block of examples per kernel call
-    sweeps["n20-k2-k5"] = dict(golden, k_grid=[2, 5], runs=2, train_config={"iterations": 500})
+    _add(sweeps, "n20-k2-k5", dict(golden, k_grid=[2, 5], runs=2, train_config={"iterations": 500}))
     # saturated sigmoids make exact ties, so the tie-break draw is taken
-    sweeps["n20-r200"] = dict(golden, train_config={"iterations": 500, "r": 200.0})
-    sweeps["n20-tanh-decoder-bias"] = dict(golden, archs=["nan", "ann"], train_config={
-        "iterations": 500, "decoder_activation": "tanh", "decoder_bias": True})
+    _add(sweeps, "n20-r200", dict(golden, train_config={"iterations": 500, "r": 200.0}))
+    _add(sweeps, "n20-tanh-decoder-bias", dict(golden, archs=["nan", "ann"], train_config={
+        "iterations": 500, "decoder_activation": "tanh", "decoder_bias": True}))
     # two blocks of examples, carry-row sums by einsum
-    sweeps["n200-decoder-bias"] = dict(golden, n_grid=[200], archs=["nan", "ann"],
-                                       train_count=400,
-                                       train_config={"iterations": 200, "decoder_bias": True})
+    _add(sweeps, "n200-decoder-bias", dict(
+        golden, n_grid=[200], archs=["nan", "ann"], train_count=400,
+        train_config={"iterations": 200, "decoder_bias": True}))
     # four blocks of examples, carry-row sums by sum(axis=0)
-    sweeps["n1000"] = dict(golden, n_grid=[1000], k_grid=[2], train_config={"iterations": 60})
+    _add(sweeps, "n1000", dict(golden, n_grid=[1000], k_grid=[2], train_config={"iterations": 60}))
     bench = _workloads()
     for w in bench.WORKLOADS.values():
-        sweeps[w.name] = {
+        _add(sweeps, w.name, {
             "master_seed": 1, "n_grid": list(w.n_grid), "k_grid": list(w.k_grid),
             "archs": list(bench.ARCHS), "runs": w.runs, "workers": 1,
             "train_count": bench.EXAMPLES, "test_count": bench.EXAMPLES,
             "train_config": {"iterations": w.iterations},
-        }
+        })
     out = {name: {"sweep": sweep} for name, sweep in sweeps.items()}
-    out["train-ann-n20-k5-decoder-bias"] = {"commands": [TRAIN_ARGV]}
-    out["criterion-3-plotdata"] = {"sweep": criterion_3, "commands": PLOTDATA_ARGVS}
-    out["gen-landscape-dataset"] = {"commands": DATAGEN_ARGVS}
+    _add(out, "train-ann-n20-k5-decoder-bias", {"commands": [TRAIN_ARGV]})
+    _add(out, "criterion-3-plotdata", {"sweep": criterion_3, "commands": PLOTDATA_ARGVS})
+    _add(out, "gen-landscape-dataset", {"commands": DATAGEN_ARGVS})
     return out
 
 
