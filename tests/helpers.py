@@ -15,15 +15,6 @@ def make_dataset(n, count, seed=0):
     return Dataset(bits * 2.0 - 1.0, rng.random(count))
 
 
-def read_tree(root):
-    """Relative path -> bytes of every file under `root` but the wall-clock `timings.csv`."""
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(Path(root).rglob("*"))
-        if p.is_file() and p.name != "timings.csv"
-    }
-
-
 def load_tool(name):
     """The module `tools/<name>.py`, which is a script rather than a package."""
     path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
@@ -31,3 +22,7 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# the reader behind the golden digests and `same_trees`' comparison
+read_tree = load_tool("same_trees").read_tree

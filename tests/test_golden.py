@@ -1,19 +1,21 @@
 """Golden digests: small trees whose bytes must not move.
 
-Each name in `GOLDEN` is a config of `tools/same_trees.py`. It runs from
-this checkout's `src/` through that tool's `run_config`, in a fresh
-interpreter with one BLAS thread, and the SHA-256 of its tree (sorted
-relative paths and bytes, without the wall-clock `timings.csv`) must equal
-the digest recorded in `golden_digests.json`. The cycle logs hold the `repr`
-of every objective, so a change that moves any bit of a trajectory (a
-reordered float reduction, a different RNG draw, a numpy whose SIMD `exp`
-rounds differently) fails here even when it flips no acceptance direction.
+Every config of `tools/same_trees.py` runs from this checkout's `src/`
+through that tool's `run_config`, in a fresh interpreter with one BLAS
+thread, and the SHA-256 of its tree as that tool's `read_tree` reads it
+(sorted relative paths and bytes, without the wall-clock `timings.csv`)
+must equal the digest recorded in `golden_digests.json`. The cycle logs
+hold the `repr` of every objective, so a change that moves any bit of a
+trajectory (a reordered float reduction, a different RNG draw, a numpy whose
+SIMD `exp` rounds differently) fails here even when it flips no acceptance
+direction.
 
 The bits depend on the numpy version and on the SIMD targets numpy
-dispatches to, so the digests are keyed by both. A key with no digests
-fails and names itself. They also depend on the BLAS thread count: at
-n=1000 the cached pre-activations `X @ encoder.T` round differently with one
-OpenBLAS thread than with two, which is why `run_config` pins one.
+dispatches to, so the digests are keyed by both. A config with no digest
+under this key fails and names itself and the key. They also depend on the
+BLAS thread count: at n=1000 the cached pre-activations `X @ encoder.T`
+round differently with one OpenBLAS thread than with two, which is why
+`run_config` pins one.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -32,14 +34,11 @@ import pytest
 
 from nkae.hillclimb import read_cycle_log
 
-from helpers import load_tool, read_tree
+from helpers import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
-# spelled out rather than read from DIGESTS: a name with no recorded digest
-# must fail, not drop out of the parametrization
-GOLDEN = ("n20-k2-k5", "n20-r200", "n20-tanh-decoder-bias", "n200-decoder-bias", "n1000",
-          "train-ann-n20-k5-decoder-bias", "gen-landscape-dataset")
+RECORD = "PYTHONPATH=src python tests/test_golden.py --record"
 
 same_trees = load_tool("same_trees")
 
@@ -62,7 +61,7 @@ def run_golden(name, out_dir: Path) -> Path:
 
 def tree_digest(root) -> str:
     digest = hashlib.sha256()
-    for path, data in read_tree(root).items():  # sorted by path
+    for path, data in same_trees.read_tree(root).items():  # sorted by path
         digest.update(f"{path}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
@@ -72,13 +71,20 @@ def recorded() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
 
 
-@pytest.mark.parametrize("name", GOLDEN)
+# configs(), not DIGESTS: a config with no recorded digest must fail, not drop out
+@pytest.mark.parametrize("name", same_trees.configs())
 def test_tree_matches_golden_digest(name, tmp_path):
     key, table = numpy_key(), recorded()
-    if key not in table:
-        pytest.fail(f"no golden digests for {key!r}; recorded keys: {sorted(table)}. "
-                    "Record them with `PYTHONPATH=src python tests/test_golden.py --record`.")
+    if name not in table.get(key, {}):
+        pytest.fail(f"no golden digest for config {name!r} under {key!r}; recorded keys: "
+                    f"{sorted(table)}. Record them with `{RECORD}`.")
     assert tree_digest(run_golden(name, tmp_path / name)) == table[key][name]
+
+
+def test_a_config_without_a_digest_fails_naming_it(monkeypatch, tmp_path):
+    monkeypatch.setitem(globals(), "recorded", lambda: {numpy_key(): {"n20-r200": "0" * 64}})
+    with pytest.raises(pytest.fail.Exception, match=r"config 'n1000' under .*--record`"):
+        test_tree_matches_golden_digest("n1000", tmp_path)
 
 
 def test_r200_config_takes_tie_draws(tmp_path):
@@ -91,10 +97,10 @@ def test_r200_config_takes_tie_draws(tmp_path):
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+        sys.exit(f"usage: {RECORD}")
     table = recorded()
     with tempfile.TemporaryDirectory() as tmp:
         table[numpy_key()] = {name: tree_digest(run_golden(name, Path(tmp) / name))
-                              for name in GOLDEN}
+                              for name in same_trees.configs()}
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {numpy_key()!r} in {DIGESTS}", file=sys.stderr)

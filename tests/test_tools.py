@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -149,3 +150,62 @@ def test_same_trees_configs_refuse_a_taken_name(same_trees, monkeypatch):
     monkeypatch.setattr(same_trees, "_workloads", lambda: bench)
     with pytest.raises(ValueError, match="'n1000'"):
         same_trees.configs()
+
+
+def test_same_trees_child_writes_no_compiled_modules(same_trees, monkeypatch, tmp_path):
+    # bench_pairs refuses a checkout with src/nkae/__pycache__
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    checkout = tmp_path / "checkout"
+    shutil.copytree(same_trees.ROOT / "src", checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    same_trees.run_config(checkout, same_trees.configs()["gen-landscape-dataset"],
+                          tmp_path / "out")
+    assert (tmp_path / "out" / "dataset.csv").is_file()
+    assert list(checkout.rglob("__pycache__")) == []
+
+
+TREE = {
+    "results.csv": "n,k,arch\n20,5,nan\n",
+    "timings.csv": "trial,ms\nnan,1.5\n",
+    "n20_k5/nan_run00_cycles.csv": "iter,accepted\n0,1\n",
+    "n20_k5/nan_run00_snapshots.csv": HEADER + "".join(ROWS),
+}
+
+
+def run_same_trees(same_trees, monkeypatch, tmp_path, change_tree):
+    """`same_trees.main` on one config whose parent side writes TREE."""
+    def fake_run_config(checkout, argvs, out_dir):
+        tree = change_tree if checkout == same_trees.ROOT else TREE
+        for name, text in tree.items():
+            (out_dir / name).parent.mkdir(parents=True, exist_ok=True)
+            (out_dir / name).write_text(text)
+
+    monkeypatch.setattr(same_trees, "configs", lambda: {"one": [["sweep"]]})
+    monkeypatch.setattr(same_trees, "run_config", fake_run_config)
+    parent = tmp_path / "parent"
+    (parent / "src" / "nkae").mkdir(parents=True)
+    return same_trees.main([str(parent)])
+
+
+def test_same_trees_main_passes_trees_that_differ_only_in_timings(
+        same_trees, monkeypatch, tmp_path, capsys):
+    change = dict(TREE, **{"timings.csv": "trial,ms\nnan,2.5\n"})
+    assert run_same_trees(same_trees, monkeypatch, tmp_path, change) == 0
+    assert "one: byte-identical (3 files)" in capsys.readouterr().out
+
+
+def test_same_trees_main_names_each_differing_file(same_trees, monkeypatch, tmp_path, capsys):
+    change = dict(TREE)
+    change["results.csv"] = "n,k,arch\n20,5,ann\n"  # one changed byte
+    change["n20_k5/nan_run01_cycles.csv"] = "iter,accepted\n"  # one side only
+    rows = list(ROWS)
+    rows[1] = "10,0.4,0.2,0.4500000000001\n"  # one moved snapshot cell
+    change["n20_k5/nan_run00_snapshots.csv"] = HEADER + "".join(rows)
+    assert run_same_trees(same_trees, monkeypatch, tmp_path, change) == 1
+    out = capsys.readouterr().out
+    assert "one: DIFFERENT" in out
+    assert "  results.csv: differs" in out
+    assert "  n20_k5/nan_run01_cycles.csv: only in change" in out
+    assert ("  n20_k5/nan_run00_snapshots.csv: max |delta| 1e-13; iter column matches; "
+            "empty cells match; last row matches") in out
+    assert out.endswith("trees differ for: one\n")
