@@ -358,6 +358,22 @@ def write_landscape(path, case):
         del payload["tables"]
     elif case == "nan entry":
         payload["tables"][2][1] = float("nan")
+    elif case == "entry above one":
+        payload["tables"][1][0] = 1.5
+    elif case == "negative entry":
+        payload["tables"][3][7] = -0.25
+    elif case == "repeated neighbor":
+        payload["neighbors"][0] = [2, 2]
+    elif case == "own neighbor":
+        payload["neighbors"][0] = [0, 1]
+    elif case == "neighbor beyond n":
+        payload["neighbors"][0] = [1, 4]
+    elif case == "negative neighbor":
+        payload["neighbors"][0] = [-1, 1]
+    elif case == "missing neighbor row":
+        del payload["neighbors"][3]
+    elif case == "long neighbor rows":
+        payload["neighbors"] = [row + [row[0]] for row in payload["neighbors"]]
     elif case == "unknown neighbor mode":
         payload["neighbor_mode"] = "bogus"
     elif case == "fractional n":
@@ -378,6 +394,14 @@ def write_landscape(path, case):
     ("missing key", "no 'tables'"),
     ("not json", "Expecting"),
     ("nan entry", "table entries must lie in [0.0, 1.0]"),
+    ("entry above one", "table entries must lie in [0.0, 1.0]"),
+    ("negative entry", "table entries must lie in [0.0, 1.0]"),
+    ("repeated neighbor", "neighbors[0] must be 2 distinct indices != 0 in [0, 4)"),
+    ("own neighbor", "neighbors[0] must be 2 distinct indices != 0 in [0, 4)"),
+    ("neighbor beyond n", "neighbors[0] must be 2 distinct indices != 0 in [0, 4)"),
+    ("negative neighbor", "neighbors[0] must be 2 distinct indices != 0 in [0, 4)"),
+    ("missing neighbor row", "neighbors must have shape (4, 2)"),
+    ("long neighbor rows", "neighbors must have shape (4, 2)"),
     ("unknown neighbor mode", "neighbor_mode must be one of"),
     ("fractional n", "n, k and seed must be JSON integers, got [4.7, 2, 3]"),
     ("fractional neighbor", "neighbors must be JSON integers"),

@@ -15,8 +15,9 @@ difference. tests/test_golden.py pins every config's tree by digest, through
 `run_config` and `read_tree`; this comparison checks a numpy or a host whose
 digests are not recorded.
 
-The fifteen configs are thirteen sweeps, one `nkae train` run, and one
-`nkae gen-landscape` with its `nkae gen-dataset`. The sweeps are criterion
+The fifteen configs are thirteen sweeps, one `nkae train` run, and two
+`nkae gen-landscape` runs, random and adjacent neighbours, each with its
+`nkae gen-dataset`. The sweeps are criterion
 3's (tests/test_acceptance.py), followed by `nkae plotdata` for fig5, fig6
 and fig7; that sweep with decoder biases, with a tanh decoder, with a linear
 decoder, and with fresh data per run, adjacent neighbours and two worker
@@ -127,6 +128,10 @@ def configs() -> dict:
          "--out", "{out}/landscape.json"],
         ["gen-dataset", "--landscape", "{out}/landscape.json", "--count", "500", "--seed", "12",
          "--out", "{out}/dataset.csv"],
+        ["gen-landscape", "--n", "50", "--k", "3", "--seed", "13", "--neighbors", "adjacent",
+         "--out", "{out}/adjacent.json"],
+        ["gen-dataset", "--landscape", "{out}/adjacent.json", "--count", "300", "--seed", "14",
+         "--out", "{out}/adjacent.csv"],
     ])
     return table
 
