@@ -232,7 +232,7 @@ class EvalCache:
         # 1.0 * delta, which is delta exactly, and `pre + delta` commutes
         bias = layer.endswith("bias")
         j = None  # the hidden node whose activation moves
-        if layer in ("output_w", "output_bias"):
+        if layer in nets.TASK_LAYERS:
             np.multiply(1.0 if bias else self.h_act[:, r], delta, out=self._c3)
             self._c3 += self.out_pre
         elif layer in ("encoder", "hidden_bias"):

@@ -120,15 +120,10 @@ def _draw_neighbors(rng, n, k, neighbor_mode):
     """Gene by gene: uniform without replacement, or the next k indices cyclically."""
     check_size(n, k)
     check_neighbor_mode(neighbor_mode)
-    neighbors = np.empty((n, k), dtype=np.int64)
+    genes = np.arange(n, dtype=np.int64)
     if neighbor_mode == "adjacent":
-        for i in range(n):
-            neighbors[i] = [(i + j + 1) % n for j in range(k)]
-    else:
-        for i in range(n):
-            candidates = np.delete(np.arange(n, dtype=np.int64), i)
-            neighbors[i] = rng.choice(candidates, size=k, replace=False)
-    return neighbors
+        return (genes[:, None] + np.arange(1, k + 1)) % n
+    return np.array([rng.choice(np.delete(genes, i), size=k, replace=False) for i in range(n)])
 
 
 def nk_new(n: int, k: int, seed: int, neighbor_mode: str = "random") -> NkLandscape:
@@ -192,17 +187,24 @@ def _draw_genomes(count, n, seed):
     return rng.integers(0, 2, size=(count, n), dtype=np.uint8)
 
 
-def _dataset(genomes, targets, landscape_seed, seed, k, neighbor_mode):
-    inputs = genomes.astype(np.float64) * 2.0 - 1.0
-    meta = {
-        "landscape_seed": int(landscape_seed),
-        "dataset_seed": int(seed),
-        "n": genomes.shape[1],
-        "k": int(k),
-        "count": genomes.shape[0],
-        "neighbor_mode": neighbor_mode,
-    }
-    return Dataset(inputs, targets, meta)
+def _datasets(neighbors, table_rows, requests, landscape_seed, neighbor_mode) -> list[Dataset]:
+    """One Dataset per `(count, seed)` in `requests`, from one landscape.
+
+    `table_rows` yields gene i's table for i = 0 .. n-1, each used before the
+    next is asked for. The lookup indices are freed before the ±1.0 inputs
+    are built, so the two never share the peak.
+    """
+    n, k = neighbors.shape
+    genomes = [_draw_genomes(count, n, seed) for count, seed in requests]
+    indices = [_lookup_indices(g, neighbors) for g in genomes]
+    targets = _mean_lookups(table_rows, indices, n)
+    del indices
+    return [
+        Dataset(g.astype(np.float64) * 2.0 - 1.0, t, {
+            "landscape_seed": int(landscape_seed), "dataset_seed": int(seed), "n": n, "k": k,
+            "count": len(g), "neighbor_mode": neighbor_mode})
+        for g, t, (_, seed) in zip(genomes, targets, requests)
+    ]
 
 
 def gen_dataset(landscape: NkLandscape, count: int, seed: int) -> Dataset:
@@ -211,9 +213,8 @@ def gen_dataset(landscape: NkLandscape, count: int, seed: int) -> Dataset:
     Deterministic in (landscape, count, seed); the generator is independent
     of the landscape's construction stream.
     """
-    genomes = _draw_genomes(count, landscape.n, seed)
-    targets = fitness_batch(landscape, genomes)
-    return _dataset(genomes, targets, landscape.seed, seed, landscape.k, landscape.neighbor_mode)
+    return _datasets(landscape.neighbors, landscape.tables, [(count, seed)], landscape.seed,
+                     landscape.neighbor_mode)[0]
 
 
 def nk_datasets(n: int, k: int, landscape_seed: int, requests,
@@ -221,31 +222,18 @@ def nk_datasets(n: int, k: int, landscape_seed: int, requests,
     """Datasets from one landscape, without materialising its tables.
 
     Returns one Dataset per `(count, seed)` in `requests`, byte-identical to
-    `gen_dataset(nk_new(n, k, landscape_seed, neighbor_mode), count, seed)`.
-    The tables are drawn one gene row at a time into a single 2**(k+1)
-    buffer: the generator yields the same values row by row as in one
-    (n, 2**(k+1)) draw, so memory is set by the datasets rather than by the
-    tables (512 KiB instead of 500 MiB at n=1000, k=15).
+    `gen_dataset(nk_new(n, k, landscape_seed, neighbor_mode), count, seed)`
+    by construction: both run `_datasets`, and only the source of the table
+    rows differs. Here the rows are drawn one gene at a time into a single
+    2**(k+1) buffer: the generator yields the same values row by row as in
+    one (n, 2**(k+1)) draw, so memory is set by the datasets rather than by
+    the tables (512 KiB instead of 500 MiB at n=1000, k=15).
     """
     rng = np.random.default_rng(landscape_seed)
     neighbors = _draw_neighbors(rng, n, k, neighbor_mode)
-    _check_neighbors(n, k, neighbors)
-    genomes = [_draw_genomes(count, n, seed) for count, seed in requests]
-    indices = [_lookup_indices(g, neighbors) for g in genomes]
     row = np.empty(2 ** (k + 1))
-
-    def table_rows():
-        for _ in range(n):
-            rng.random(out=row)
-            _check_table(row)
-            yield row
-
-    targets = _mean_lookups(table_rows(), indices, n)
-    del indices
-    return [
-        _dataset(g, t, landscape_seed, seed, k, neighbor_mode)
-        for g, t, (_, seed) in zip(genomes, targets, requests)
-    ]
+    return _datasets(neighbors, (rng.random(out=row) for _ in range(n)), requests,
+                     landscape_seed, neighbor_mode)
 
 
 def save_landscape(landscape: NkLandscape, path) -> None:

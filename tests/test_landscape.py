@@ -14,7 +14,6 @@ from nkae import (
     save_dataset,
     save_landscape,
 )
-from nkae import landscape as nkland
 from nkae.landscape import MAX_K, NkLandscape, nk_datasets
 
 from oracles import all_genomes, oracle_fitness, oracle_gene_contribution
@@ -213,24 +212,6 @@ def test_nk_datasets_validation():
         nk_datasets(5, 2, 1, [(3, 1)], "ring")
     with pytest.raises(ParameterError):
         nk_datasets(5, 2, 1, [(3, 1), (0, 2)])
-
-
-def test_nk_datasets_checks_each_streamed_row(monkeypatch):
-    real_rng = np.random.default_rng
-
-    class OutOfRangeTables:
-        def __init__(self, seed):
-            self._rng = real_rng(seed)
-
-        def integers(self, *args, **kwargs):
-            return self._rng.integers(*args, **kwargs)
-
-        def random(self, out):
-            out[:] = 1.5
-
-    monkeypatch.setattr(nkland.np.random, "default_rng", OutOfRangeTables)
-    with pytest.raises(ParameterError, match=r"\[0.0, 1.0\]"):
-        nk_datasets(6, 2, 1, [(4, 2)], "adjacent")
 
 
 def test_nk_datasets_memory_stays_below_the_tables():
