@@ -201,8 +201,13 @@ def _datasets(neighbors, table_rows, requests, landscape_seed, neighbor_mode) ->
     del indices
     return [
         Dataset(g.astype(np.float64) * 2.0 - 1.0, t, {
-            "landscape_seed": int(landscape_seed), "dataset_seed": int(seed), "n": n, "k": k,
-            "count": len(g), "neighbor_mode": neighbor_mode})
+            "landscape_seed": int(landscape_seed),
+            "dataset_seed": int(seed),
+            "n": n,
+            "k": k,
+            "count": len(g),
+            "neighbor_mode": neighbor_mode,
+        })
         for g, t, (_, seed) in zip(genomes, targets, requests)
     ]
 

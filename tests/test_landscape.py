@@ -56,6 +56,10 @@ def test_adjacent_neighbor_mode():
     land = nk_new(6, 2, seed=1, neighbor_mode="adjacent")
     assert land.neighbors[4].tolist() == [5, 0]
     assert land.neighbors[5].tolist() == [0, 1]
+    for n, k in [(2, 1), (7, 3), (16, MAX_K), (40, 6)]:
+        got = nk_new(n, k, seed=2, neighbor_mode="adjacent").neighbors
+        assert got.dtype == np.int64
+        assert got.tolist() == [[(i + j + 1) % n for j in range(k)] for i in range(n)]
 
 
 # A single gene's contribution is read through fitness_batch on a landscape
