@@ -282,17 +282,27 @@ def train(
 # (`benchmarks/tracing.py` times the two log writers by their names here)
 
 CYCLE_HEADER = "iter,kind,coord,delta,obj_before,obj_after,accepted"
-# %r writes the exact repr of a float: a RunLog's columns hold Python floats
-CYCLE_ROW = "%d,%s,%s:%d:%d,%r,%r,%r,%d\n"
+# %r writes the exact repr of a float: a RunLog's columns hold Python floats;
+# the obj_before cell comes already formatted (see `write_cycle_log`)
+CYCLE_ROW = "%d,%s,%s:%d:%d,%r,%s,%r,%d\n"
 SNAPSHOT_HEADER = "iter,train_task_mse,train_ae_mse,test_task_mse"
 
 
 def write_cycle_log(log: RunLog, path) -> None:
     """One CSV row per cycle of `log`, formatted column-wise by one `%` template and not
-    by `errors.write_csv`: float reprs already take about 4 of its 6 ms per 1000 cycles."""
+    by `errors.write_csv`: float reprs already take about 4 of its 6 ms per 1000 cycles.
+
+    `before` holds the incumbent objective, one float object for every cycle
+    until an accept replaces it, so each distinct object is formatted once.
+    The memo is keyed on the objects' ids, which the list keeps alive, and not
+    on their values, under which 0.0 and -0.0 would share a repr and NaNs
+    would miss."""
     layers, rows, cols = tuple(zip(*log.coords)) or ((), (), ())
+    ids = list(map(id, log.before))
+    objects = dict(zip(ids, log.before))
+    reprs = dict(zip(objects, map(repr, objects.values())))
     columns = (count(1), map(_kind, layers), layers, rows, cols,
-               log.deltas, log.before, log.after, log.accepted)
+               log.deltas, map(reprs.__getitem__, ids), log.after, log.accepted)
     lines = map(CYCLE_ROW.__mod__, zip(*columns))
     Path(path).write_text(CYCLE_HEADER + "\n" + "".join(lines), encoding="utf-8")
 

@@ -15,7 +15,7 @@ component, and ``ae[g]`` is their mean over examples and components.
 ``propose`` stages two facts with each proposal: the hidden node j whose
 activation it moves (any encoder weight or hidden bias, nn's too) and the
 judge g that scores it (nan's neuron, ann's 0, or None when the task judges:
-the output node and every nn change). ``accept`` writes hidden column j when
+the output node and every nn change). ``accept`` writes hidden row j when
 j is set, then commits the task when g is None, and otherwise judge g's row
 (a hidden proposal) or the one component of it that a decoder weight or bias
 moves. ``propose`` treats a bias as a weight on the constant input 1.0, and
@@ -27,10 +27,25 @@ examples in blocks of ``max(1, min(m, BLOCK_ELEMS // n))`` rows through a
 ``(rows + 1, n)`` scratch buffer, whose row 0 carries the running column
 sums so that every sum is bit-identical to one ``sum(axis=0)`` over all
 rows. At n=1000 that is 65 rows (about 0.5 MiB); at n <= 65 a 1000-example
-set is one block. Besides that buffer the cache holds (m,) and (m, h)
-arrays and the (h, n) ``comp_sums``; the one (m, n) array is ann's decoder
-pre-activations ``dec_pre``, which an accepted ann hidden proposal updates
-in place, block by block.
+set is one block. Besides that buffer the cache holds (m,) arrays, the
+(h, n) ``comp_sums`` and the hidden state ``h_pre`` and ``h_act``, which is
+node-major: (h, m), row r being node r, so that a proposal reads and writes
+contiguous rows. ``refresh`` still takes its products on (m, h) activations,
+as the from-scratch evaluators do, and copies them out transposed. The one
+(m, n) array is ann's decoder pre-activations ``dec_pre``, which an accepted
+ann hidden proposal updates in place, block by block.
+
+Every logistic reads negated pre-activations, through
+``networks.logistic_neg``. A task or hidden candidate is formed negated, as
+``x * -delta - pre``: that is ``-(pre + x * delta)`` bit for bit, up to the
+sign of a zero, which exp(±0) = 1 hides. ``accept`` negates it back into
+``out_pre`` or ``h_pre``. These logistics clamp only unless a cached bound
+plus |delta| plus 1.0 stays within CLAMP: Σ|output_w| + |output_bias| for
+the output node, since activations lie in [0, 1], and Σ|encoder[r]| +
+|hidden_bias[r]| for hidden node r, since inputs are ±1. The 1.0 is the
+margin for the rounding drift of in-place updates that ``_needs_clamp``
+also allows. The clamp writes into the activation buffer, never into the
+candidate, so ``out_pre`` and ``h_pre`` always hold unclamped values.
 
 The kernel's passes are the cheapest numpy calls that keep those bits. An
 outer product is ``einsum("i,j->ij")``, which rounds each product as
@@ -43,7 +58,8 @@ components the carry-row sum is ``einsum("ij->j")``, which adds the rows in
 the same order as ``sum(axis=0)``. Errors are squared by ``square``, which
 is ``x * x`` in a faster loop. A sigmoid decoder clamps its pre-activations
 to [-CLAMP, CLAMP] only when the judge's decoder could reach past it (see
-``_needs_clamp``).
+``_needs_clamp``). That answer is cached per judge, and a decoder accept
+renews it at the judge's next hidden proposal.
 
 Correctness is defined by the from-scratch evaluators in ``networks``;
 ``scratch_divergence`` measures the gap between the cached ``(task_mse,
@@ -75,6 +91,18 @@ BLOCK_ELEMS = 2**16
 EINSUM_SUM_MAX_N = 200
 
 
+def _bound(w, b):
+    """sum |w| + |b|: a bound on |x @ w + b| for inputs x in [-1, 1]."""
+    return float(np.abs(w).sum()) + abs(float(b))
+
+
+def _clips(bound, delta):
+    """Whether a logistic must clamp pre-activations whose magnitude is at most
+    `bound` + |delta|, with a margin of 1.0 for the rounding drift of in-place
+    updates. Written so that a NaN bound clamps."""
+    return not bound + abs(delta) + 1.0 <= nets.CLAMP
+
+
 class EvalCache:
     """Cached objectives for one network on one training set."""
 
@@ -94,7 +122,11 @@ class EvalCache:
         self._c4 = np.empty(m)
         if network.arch in ("nan", "ann"):
             self._rows = max(1, min(m, BLOCK_ELEMS // n))
+            self._blocks = [(s, min(s + self._rows, m)) for s in range(0, m, self._rows)]
             self._buf = np.empty((self._rows + 1, n))
+            self._d = np.empty(n)
+            self._sign = -1.0 if network.decoder_activation == "sigmoid" else 1.0
+            self._narrow = 2 <= n <= EINSUM_SUM_MAX_N
         self.refresh()
 
     # -- full rebuild --------------------------------------------------------
@@ -102,32 +134,36 @@ class EvalCache:
     def refresh(self):
         """Recompute every cached quantity from scratch."""
         net, X = self.net, self.X
-        self.h_pre = X @ net.encoder.T + net.hidden_bias
-        self.h_act = nets.sigmoid_vec(self.h_pre)
-        self.out_pre = self.h_act @ net.output_w + net.output_bias
-        self.task_mse = self._task_from(self.out_pre)
+        # (m, h) products keep the bits of the from-scratch evaluators' ones
+        pre = X @ net.encoder.T + net.hidden_bias
+        self.h_pre = np.ascontiguousarray(pre.T)
+        act = nets.sigmoid_vec(pre, out=pre)
+        self.out_pre = act @ net.output_w + net.output_bias
         if net.arch == "ann":
-            self.dec_pre = self.h_act @ net.decoder.T
+            self.dec_pre = act @ net.decoder.T
             if net.decoder_bias is not None:
                 self.dec_pre += net.decoder_bias
+        self.h_act = np.ascontiguousarray(act.T)
+        del pre, act
+        self._task_bound = _bound(net.output_w, net.output_bias)
+        self._node_bound = [_bound(net.encoder[r], net.hidden_bias[r]) for r in range(self.h)]
+        self.task_mse = self._task_from(np.negative(self.out_pre, out=self._c3), 0.0)
         judges = {"nan": self.h, "ann": 1, "nn": 0}[net.arch]
+        self._clamp = [self._needs_clamp(g) for g in range(judges)]
         self.comp_sums = np.empty((judges, self.n))
         zero = np.zeros(self.m)
         for g in range(judges):
-            self.comp_sums[g] = self._judge_sums(g, self.h_act[:, g], zero)
+            self.comp_sums[g] = self._judge_sums(g, self.h_act[g], zero)
         self.ae = (self.comp_sums.sum(axis=1) / (self.m * self.n)).tolist()
 
     # -- helpers ---------------------------------------------------------------
 
-    def _task_from(self, out_pre):
-        buf = nets.sigmoid_vec(out_pre, out=self._c4)
-        buf -= self.y
+    def _task_from(self, neg_pre, delta):
+        """Task MSE of the negated output pre-activations `neg_pre`, which the
+        task bound plus |delta| bounds in magnitude."""
+        buf = nets.logistic_neg(neg_pre, self._c4, _clips(self._task_bound, delta))
+        np.subtract(buf, self.y, out=buf)
         return float(buf @ buf) / self.m
-
-    def _blocks(self):
-        """(start, stop) of each block of `_rows` examples, in order."""
-        for s in range(0, self.m, self._rows):
-            yield s, min(s + self._rows, self.m)
 
     def _needs_clamp(self, g):
         """Whether judge g's sigmoid decoder must clamp its pre-activations,
@@ -160,10 +196,14 @@ class EvalCache:
         nan neuron j scores ``outer(act, decoder[j]) + decoder_bias[j]``, ann's
         layer ``dec_pre + outer(shift, decoder[:, j])``."""
         net = self.net
+        g = j if net.arch == "nan" else 0
+        clip = self._clamp[g]
+        if clip is None:  # a decoder accept since the last look
+            clip = self._clamp[g] = self._needs_clamp(g)
         if net.arch == "nan":
             b = None if net.decoder_bias is None else net.decoder_bias[j]
-            return self._col_sums(act, net.decoder[j], b, clip=self._needs_clamp(j))
-        return self._col_sums(shift, net.decoder[:, j], self.dec_pre, clip=self._needs_clamp(0))
+            return self._col_sums(act, net.decoder[j], b, clip)
+        return self._col_sums(shift, net.decoder[:, j], self.dec_pre, clip)
 
     def _col_sums(self, act, d, base, clip):
         """Squared reconstruction errors of the decoder pre-activations
@@ -189,30 +229,24 @@ class EvalCache:
         shown |p| <= CLAMP.
         """
         activation = self.net.decoder_activation
-        sign = -1.0 if activation == "sigmoid" else 1.0
-        d = d * sign
+        d = np.multiply(d, self._sign, out=self._d)
         buf, sums = self._buf, np.zeros(self.n)
-        narrow = 2 <= self.n <= EINSUM_SUM_MAX_N
-        for s, e in self._blocks():
+        for s, e in self._blocks:
             blk = nets.einsum("i,j->ij", act[s:e], d, out=buf[1:e - s + 1])
             part = base[s:e] if base is not None and base.ndim == 2 else base
             if part is not None:
-                if sign < 0:
-                    blk -= part
+                if activation == "sigmoid":
+                    np.subtract(blk, part, out=blk)
                 else:
-                    blk += part
+                    np.add(blk, part, out=blk)
             if activation == "sigmoid":
-                if clip:
-                    nets.clip_ufunc(blk, -nets.CLAMP, nets.CLAMP, out=blk)
-                np.exp(blk, out=blk)
-                blk += 1.0
-                np.reciprocal(blk, out=blk)
+                nets.logistic_neg(blk, blk, clip)
             elif activation == "tanh":
                 np.tanh(blk, out=blk)
-            blk -= self.X[s:e]
+            np.subtract(blk, self.X[s:e], out=blk)
             np.square(blk, out=blk)
             buf[0] = sums
-            if narrow:
+            if self._narrow:
                 nets.einsum("ij->j", buf[:e - s + 1], out=sums)
             else:
                 buf[:e - s + 1].sum(axis=0, out=sums)
@@ -229,23 +263,27 @@ class EvalCache:
         flat = net.index(coord)
         layer, r, c = coord
         # a bias is a weight on the constant input 1.0: `multiply` broadcasts
-        # 1.0 * delta, which is delta exactly, and `pre + delta` commutes
+        # 1.0 * -delta, which is -delta exactly. Candidates are formed negated,
+        # as x * -delta - pre, which is -(pre + x * delta) bit for bit up to the
+        # sign of a zero, and the logistic reads them so.
         bias = layer.endswith("bias")
         j = None  # the hidden node whose activation moves
         if layer in nets.TASK_LAYERS:
-            np.multiply(1.0 if bias else self.h_act[:, r], delta, out=self._c3)
-            self._c3 += self.out_pre
+            # _c3: the negated candidate out_pre
+            np.multiply(1.0 if bias else self.h_act[r], -delta, out=self._c3)
+            np.subtract(self._c3, self.out_pre, out=self._c3)
         elif layer in ("encoder", "hidden_bias"):
             j = r
-            np.multiply(1.0 if bias else self.X[:, c], delta, out=self._c1)
-            self._c1 += self.h_pre[:, r]
-            nets.sigmoid_vec(self._c1, out=self._c2)
+            # _c1: the negated candidate pre-activations of node r; _c2 its activations
+            np.multiply(1.0 if bias else self.X[:, c], -delta, out=self._c1)
+            np.subtract(self._c1, self.h_pre[r], out=self._c1)
+            nets.logistic_neg(self._c1, self._c2, _clips(self._node_bound[r], delta))
             # _c3: the activation shift of hidden node r
-            np.subtract(self._c2, self.h_act[:, r], out=self._c3)
+            np.subtract(self._c2, self.h_act[r], out=self._c3)
             if net.arch == "nn":
-                # only the task judges nn, so _c3 becomes the candidate out_pre
-                self._c3 *= net.output_w[r]
-                self._c3 += self.out_pre
+                # only the task judges nn, so _c3 becomes the negated candidate out_pre
+                np.multiply(self._c3, -net.output_w[r], out=self._c3)
+                np.subtract(self._c3, self.out_pre, out=self._c3)
             else:
                 g = r if net.arch == "nan" else 0
                 sums = self._judge_sums(r, self._c2, self._c3)
@@ -259,13 +297,13 @@ class EvalCache:
                 # nan keeps no decoder pre-activations, so component i is rebuilt;
                 # a zero added to the unmoved term can only flip the sign of a zero
                 g, i = r, c
-                np.multiply(self.h_act[:, r], net.decoder[r, i] + (0.0 if bias else delta),
+                np.multiply(self.h_act[r], net.decoder[r, i] + (0.0 if bias else delta),
                             out=self._c1)
                 if net.decoder_bias is not None:
                     self._c1 += net.decoder_bias[r, i] + (delta if bias else 0.0)
             else:
                 g, i = 0, r
-                np.multiply(1.0 if bias else self.h_act[:, c], delta, out=self._c1)
+                np.multiply(1.0 if bias else self.h_act[c], delta, out=self._c1)
                 self._c1 += self.dec_pre[:, i]
             col = nets._dec_act_vec(net.decoder_activation, self._c1, out=self._c2)
             col -= self.X[:, i]
@@ -275,7 +313,8 @@ class EvalCache:
             cand = total / (self.m * self.n)
             self._pending = (flat, delta, None, g, cand, (i, s_new))
             return self.ae[g], cand
-        cand = self._task_from(self._c3)
+        # a hidden move keeps the output pre-activations within the task bound
+        cand = self._task_from(self._c3, delta if j is None else 0.0)
         self._pending = (flat, delta, j, None, cand, None)
         return self.task_mse, cand
 
@@ -287,30 +326,36 @@ class EvalCache:
         net = self.net
         net.params[flat] += delta
         if j is not None:
-            self.h_pre[:, j] = self._c1
-            self.h_act[:, j] = self._c2
+            np.negative(self._c1, out=self.h_pre[j])
+            self.h_act[j] = self._c2
+            self._node_bound[j] = _bound(net.encoder[j], net.hidden_bias[j])
         if g is None:
-            self.out_pre, self._c3 = self._c3, self.out_pre
+            np.negative(self._c3, out=self.out_pre)
             self.task_mse = cand
+            if j is None:
+                self._task_bound = _bound(net.output_w, net.output_bias)
         elif j is not None:
             # _c3 still holds the activation shift from propose()
             if net.arch == "ann":
                 # dec_pre += outer(shift, decoder column j), one block of examples at a time
-                for s, e in self._blocks():
+                for s, e in self._blocks:
                     blk = nets.einsum("i,j->ij", self._c3[s:e], net.decoder[:, j],
                                       out=self._buf[1:e - s + 1])
                     self.dec_pre[s:e] += blk
-            self._c3 *= net.output_w[j]
-            self.out_pre += self._c3
+            # out_pre += shift * output_w[j], formed negated as in propose
+            np.multiply(self._c3, -net.output_w[j], out=self._c3)
+            np.subtract(self._c3, self.out_pre, out=self._c3)
+            np.negative(self._c3, out=self.out_pre)
             self.comp_sums[g] = staged
             self.ae[g] = cand
-            self.task_mse = self._task_from(self.out_pre)
+            self.task_mse = self._task_from(self._c3, 0.0)
         else:
             i, s_new = staged
             if net.arch == "ann":
                 self.dec_pre[:, i] = self._c1
             self.comp_sums[g, i] = s_new
             self.ae[g] = cand
+            self._clamp[g] = None
         self._pending = None
 
     def reject(self) -> None:

@@ -58,16 +58,24 @@ except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as clip_ufunc
 
 
+def logistic_neg(neg: np.ndarray, out: np.ndarray, clip: bool = True) -> np.ndarray:
+    """``1 / (1 + exp(neg))``, the logistic of the negated pre-activations
+    `neg`, written into `out` (which may be `neg`). With `clip` it first clamps
+    `neg` to [-CLAMP, CLAMP] into `out`; `neg` itself is never clamped."""
+    if clip:
+        clip_ufunc(neg, -CLAMP, CLAMP, out=out)
+        neg = out
+    np.exp(neg, out=out)
+    np.add(out, 1.0, out=out)
+    return np.reciprocal(out, out=out)
+
+
 def sigmoid_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized clamped logistic; writes into `out` when given."""
     if out is None:
         out = np.empty_like(x)
-    clip_ufunc(x, -CLAMP, CLAMP, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    return out
+    np.negative(x, out=out)
+    return logistic_neg(out, out=out)
 
 
 def _dec_act_vec(name, x, out):
@@ -157,9 +165,10 @@ class Network:
         self.layout = layout(arch, n, h, decoder_bias)
         self.task_start = self.layout["output_w"][0]
         self.params = np.zeros(self.task_start + h + 1)
-        self._views = {}
+        self._views, self._index = {}, {}
         for name, (offset, shape) in self.layout.items():
             self._views[name] = self.params[offset:offset + math.prod(shape)].reshape(shape)
+            self._index[name] = (offset, *(shape + (1, 1))[:2])
 
     def copy(self) -> Network:
         twin = Network(self.arch, self.n, self.h, decoder_bias=self.decoder_bias is not None,
@@ -170,12 +179,12 @@ class Network:
     def index(self, coord: Coord) -> int:
         """Flat index of a coordinate; ParameterError if this network lacks it."""
         layer, row, col = coord
-        if layer not in self.layout:
+        if layer not in self._index:
             raise ParameterError(f"coordinate {coord} is not valid for arch {self.arch!r}")
-        offset, shape = self.layout[layer]
-        rows, cols = (shape + (1, 1))[:2]
+        offset, rows, cols = self._index[layer]
         if not (0 <= row < rows and 0 <= col < cols):
-            raise ParameterError(f"coordinate {coord} is out of range for shape {shape}")
+            raise ParameterError(
+                f"coordinate {coord} is out of range for shape {self.layout[layer][1]}")
         return offset + row * cols + col
 
     def coord(self, u: int) -> Coord:

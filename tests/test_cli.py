@@ -370,6 +370,9 @@ def write_landscape(path, case):
         payload["neighbors"][0] = [1, 4]
     elif case == "negative neighbor":
         payload["neighbors"][0] = [-1, 1]
+    elif case == "two bad neighbor rows":
+        payload["neighbors"][3] = [3, 0]
+        payload["neighbors"][1] = [2, 2]
     elif case == "missing neighbor row":
         del payload["neighbors"][3]
     elif case == "long neighbor rows":
@@ -400,6 +403,7 @@ def write_landscape(path, case):
     ("own neighbor", "neighbors[0] must be 2 distinct indices != 0 in [0, 4)"),
     ("neighbor beyond n", "neighbors[0] must be 2 distinct indices != 0 in [0, 4)"),
     ("negative neighbor", "neighbors[0] must be 2 distinct indices != 0 in [0, 4)"),
+    ("two bad neighbor rows", "neighbors[1] must be 2 distinct indices != 1 in [0, 4)"),
     ("missing neighbor row", "neighbors must have shape (4, 2)"),
     ("long neighbor rows", "neighbors must have shape (4, 2)"),
     ("unknown neighbor mode", "neighbor_mode must be one of"),

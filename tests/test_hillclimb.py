@@ -13,6 +13,7 @@ from nkae.hillclimb import (
     RAW_BLOCK,
     SNAPSHOT_HEADER,
     RawDraws,
+    RunLog,
     read_cycle_log,
     read_snapshot_log,
     train,
@@ -502,6 +503,29 @@ def test_cycle_log_roundtrip(tmp_path):
         f"{r.objective_after!r},{int(r.accepted)}" for r in log.records
     ]
     assert read_cycle_log(path) == log.records
+
+
+def test_cycle_log_formats_each_before_object_by_its_own_repr(tmp_path):
+    """obj_before cells keep the bytes of one `%r` per row when `before` holds
+    0.0 and -0.0 (equal as keys), NaNs (unequal to themselves) and repeated
+    objects."""
+    zero, neg_zero, nan, eighth = float("0.0"), float("-0.0"), float("nan"), 0.125
+    before = [zero, neg_zero, nan, zero, eighth, neg_zero, float("nan"), nan, eighth,
+              float("-0.0")]
+    coords = [nets.Coord("encoder", i % 3, i % 5) if i % 2 else nets.Coord("output_bias", 0, 0)
+              for i in range(len(before))]
+    log = RunLog(coords=coords, deltas=[0.1 * i for i in range(len(before))], before=before,
+                 after=[neg_zero if i % 3 else nan for i in range(len(before))],
+                 accepted=[i % 4 == 1 for i in range(len(before))])
+    path = tmp_path / "cycles.csv"
+    write_cycle_log(log, path)
+    row = "%d,%s,%s:%d:%d,%r,%r,%r,%d\n"
+    expected = "".join(
+        row % (r.iteration, r.kind, *r.coord, r.delta, r.objective_before, r.objective_after,
+               r.accepted)
+        for r in log.records)
+    assert path.read_text() == CYCLE_HEADER + "\n" + expected
+    assert "-0.0,-0.0" in expected and ",0.0,nan," in expected
 
 
 def test_snapshot_log_roundtrip(tmp_path):

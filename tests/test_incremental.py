@@ -221,7 +221,7 @@ def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
     X = ds.inputs
     with np.errstate(over="raise"):
         cache = EvalCache(net, ds)
-        assert np.array_equal(cache.comp_sums[1], full_neuron_sums(net, 1, cache.h_act[:, 1], X))
+        assert np.array_equal(cache.comp_sums[1], full_neuron_sums(net, 1, cache.h_act[1], X))
         rng = np.random.default_rng(6)
         for step in range(20):
             coord = nets.Coord("encoder", 1, step % 8) if step % 3 else nets.Coord("hidden_bias", 1, 0)
@@ -229,7 +229,7 @@ def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
             _, candidate = cache.propose(coord, delta)
             if step % 2:
                 cache.accept()
-                sums = full_neuron_sums(net, 1, cache.h_act[:, 1], X)
+                sums = full_neuron_sums(net, 1, cache.h_act[1], X)
                 assert np.array_equal(cache.comp_sums[1], sums)
                 assert candidate == float(sums.sum()) / (31 * 8)
             else:
@@ -301,28 +301,31 @@ def parent_outcome(cache, coord, delta):
     layer, r, c = coord
     sums, task = cache.comp_sums.copy(), cache.task_mse
     if layer in ("output_w", "output_bias"):
-        move = delta if layer == "output_bias" else cache.h_act[:, r] * delta
+        move = delta if layer == "output_bias" else cache.h_act[r] * delta
         err = nets.sigmoid_vec(cache.out_pre + move) - cache.y
         task = float(err @ err) / m
         return task, sums, task
     if layer in ("encoder", "hidden_bias"):
         move = delta if layer == "hidden_bias" else cache.X[:, c] * delta
-        act = nets.sigmoid_vec(cache.h_pre[:, r] + move)
-        shift = act - cache.h_act[:, r]
+        act = nets.sigmoid_vec(cache.h_pre[r] + move)
+        shift = act - cache.h_act[r]
+        err = nets.sigmoid_vec(cache.out_pre + shift * net.output_w[r]) - cache.y
+        task = float(err @ err) / m
+        if net.arch == "nn":
+            return task, sums, task
         g = r if net.arch == "nan" else 0
         sums[g] = cache._judge_sums(r, act, shift)
-        err = nets.sigmoid_vec(cache.out_pre + shift * net.output_w[r]) - cache.y
-        return float(sums[g].sum()) / (m * n), sums, float(err @ err) / m
+        return float(sums[g].sum()) / (m * n), sums, task
     if net.arch == "nan":
         g, i = r, c
         d, b = net.decoder[r, i], net.decoder_bias[r, i]
         if layer == "decoder":
-            pre = cache.h_act[:, r] * (d + delta) + b
+            pre = cache.h_act[r] * (d + delta) + b
         else:
-            pre = cache.h_act[:, r] * d + (b + delta)
+            pre = cache.h_act[r] * d + (b + delta)
     else:
         g, i = 0, r
-        move = delta if layer == "decoder_bias" else cache.h_act[:, c] * delta
+        move = delta if layer == "decoder_bias" else cache.h_act[c] * delta
         pre = cache.dec_pre[:, i] + move
     err = nets._dec_act_vec(net.decoder_activation, pre, out=pre) - cache.X[:, i]
     s_new = float((err * err).sum())
@@ -364,6 +367,72 @@ def test_signed_zero_decoder_proposals_keep_the_bits_of_branch_per_bias(arch,
         assert np.array_equal(bits(cache.comp_sums), bits(sums)), (coord, delta)
         assert cache.task_mse.hex() == task.hex(), (coord, delta)
     assert divergence(cache, ds) < 1e-12
+
+
+def unclamped_pre_activations(cache, coord, delta):
+    """(out_pre, hidden node r's pre-activations or None) after accepting
+    `coord += delta`, updated incrementally and never clamped."""
+    net, (layer, r, c) = cache.net, coord
+    if layer in ("output_w", "output_bias"):
+        return cache.out_pre + (delta if layer == "output_bias" else cache.h_act[r] * delta), None
+    h_pre = cache.h_pre[r] + (delta if layer == "hidden_bias" else cache.X[:, c] * delta)
+    shift = nets.sigmoid_vec(h_pre) - cache.h_act[r]
+    return cache.out_pre + shift * net.output_w[r], h_pre
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("arch", ["nan", "ann", "nn"])
+def test_logistics_clamp_past_clamp_and_stored_pre_activations_stay_unclamped(arch, sign):
+    """Output pre-activations near +-1200 and one hidden node whose encoder row
+    sums to 800 in |w| (example 0's pre-activation is -740): every candidate and
+    task MSE keep the bits of the always-clamping formulas of `parent_outcome`,
+    no exp overflows, and the cached pre-activations are the unclamped ones."""
+    net, ds, _ = make_cache(arch, n=20, h=10, count=31)
+    net.output_w[...] = 120.0 * sign
+    net.hidden_bias[...] = 60.0
+    net.encoder[1] = -40.0 * ds.inputs[0]
+    coords = [nets.Coord("output_bias", 0, 0), nets.Coord("output_w", 1, 0),
+              nets.Coord("encoder", 1, 3), nets.Coord("hidden_bias", 1, 0),
+              nets.Coord("encoder", 4, 7), nets.Coord("output_w", 4, 0)]
+    with np.errstate(over="raise"):
+        cache = EvalCache(net, ds)
+        assert np.abs(cache.out_pre).max() > 1000.0 and cache.h_pre[1].min() < -700.0
+        for step, coord in enumerate(coords * 2):
+            delta = (0.5, -0.25, 3.0)[step % 3]
+            cand, sums, task = parent_outcome(cache, coord, delta)
+            out_pre, h_pre = unclamped_pre_activations(cache, coord, delta)
+            _, candidate = cache.propose(coord, delta)
+            assert candidate.hex() == cand.hex(), (coord, delta)
+            cache.accept()
+            assert np.array_equal(bits(cache.comp_sums), bits(sums)), (coord, delta)
+            assert cache.task_mse.hex() == task.hex(), (coord, delta)
+            assert np.array_equal(cache.out_pre, out_pre), (coord, delta)
+            if h_pre is not None:
+                assert np.array_equal(cache.h_pre[coord.row], h_pre), (coord, delta)
+    assert divergence(cache, ds) < 1e-12
+
+
+@pytest.mark.parametrize("arch", ["nan", "ann"])
+def test_judge_clamp_follows_decoder_accepts_both_ways(arch):
+    """A decoder accept moves one weight of nan's neuron 1, or of ann's decoder
+    node 1, past CLAMP, back, and past it again; exp(1e6 * act) overflows
+    unless the next hidden proposal of node 1 clamps, and its sums keep the
+    bits of one clamped (m, n) array."""
+    net, ds, cache = make_cache(arch, count=31)
+    X = ds.inputs
+    g = 1 if arch == "nan" else 0
+    rng = np.random.default_rng(8)
+    with np.errstate(over="raise"):
+        for delta in (-1e6, 1e6, -1e6):
+            cache.propose(nets.Coord("decoder", 1, 2), delta)
+            cache.accept()
+            cache.propose(nets.Coord("encoder", 1, int(rng.integers(8))), float(rng.uniform(-1, 1)))
+            cache.accept()
+            if arch == "nan":
+                expected = full_neuron_sums(net, 1, cache.h_act[1], X)
+            else:
+                expected = clamped_layer_sums(cache.dec_pre, X)
+            assert np.array_equal(bits(cache.comp_sums[g]), bits(expected)), delta
 
 
 def test_pending_protocol_enforced():

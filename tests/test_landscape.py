@@ -14,6 +14,7 @@ from nkae import (
     save_dataset,
     save_landscape,
 )
+from nkae import landscape
 from nkae.landscape import MAX_K, NkLandscape, nk_datasets
 
 from oracles import all_genomes, oracle_fitness, oracle_gene_contribution
@@ -136,6 +137,20 @@ def test_single_table_entry_localized_effect():
         selects = int(bits, 2) == entry
         changed = fitness_batch(land, [genome])[0] != fitness_batch(bumped, [genome])[0]
         assert changed == selects
+
+
+def test_uint16_lookup_indices_give_the_int64_targets_at_max_k():
+    land = nk_new(20, MAX_K, seed=5)
+    genomes = np.random.default_rng(6).integers(0, 2, size=(64, 20), dtype=np.uint8)
+    genomes[0] = 1  # every bit set: index 2**16 - 1
+    idx = landscape._lookup_indices(genomes, land.neighbors)
+    wide = genomes.T.astype(np.int64)
+    for j in range(MAX_K):
+        wide = (wide << 1) | genomes.T[land.neighbors[:, j]]
+    assert idx.dtype == np.uint16 and idx.max() == 2**16 - 1
+    assert np.array_equal(idx, wide)
+    expected = landscape._mean_lookups(land.tables, [wide], land.n)[0]
+    assert fitness_batch(land, genomes).tobytes() == expected.tobytes()
 
 
 def test_dataset_shape_and_encoding():

@@ -76,6 +76,23 @@ def test_bench_pairs_refuses_a_checkout_with_compiled_modules(
     assert str(cache) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("5-3", "'5-3' is an empty range"),
+    ("1-3,2", "'1-3,2' names a seed twice"),
+    ("4,4", "'4,4' names a seed twice"),
+])
+def test_bench_pairs_refuses_a_bad_seed_list_before_any_run(
+        bench_pairs, monkeypatch, tmp_path, capsys, seeds, message):
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(plain_parent(tmp_path)), "--workload", "w", "--seeds", seeds,
+                          "--out", str(tmp_path / "pairs.json")])
+    assert exc.value.code == 2
+    assert runs == []
+    assert message in capsys.readouterr().err
+
+
 def pairs_of(parent, change):
     return [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
 

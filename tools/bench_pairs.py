@@ -39,10 +39,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _seeds(text: str) -> list:
+    """The seeds of `1-10`, `1,3,5` or a mix, in order; an empty or descending
+    range and a repeated seed are refused."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"{part!r} is an empty range")
+        seeds += span
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"{text!r} names a seed twice")
     return seeds
 
 
