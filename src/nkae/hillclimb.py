@@ -30,7 +30,10 @@ per cycle from them, and `write_cycle_log` formats them column-wise.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
@@ -202,6 +205,41 @@ def _snapshot(cache, test_set, iteration):
     )
 
 
+@functools.cache
+def _blas_threads():
+    """The getter and setter of the thread count of the OpenBLAS that numpy 2
+    bundles (scipy-openblas), or None, with one warning on stderr, for another
+    BLAS. Loading numpy's own extension module finds them among its libraries."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        print("nkae: numpy's BLAS is not its bundled OpenBLAS, so runs are not pinned to one "
+              "BLAS thread; at n=1000 their bytes may depend on the thread count",
+              file=sys.stderr)
+        return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run with one OpenBLAS thread and restore the count afterwards. At
+    n=1000 the products ``X @ encoder.T`` round differently with two threads
+    than with one, so a run's bytes would depend on the host."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_to = threads
+    saved = get()
+    set_to(1)
+    try:
+        yield
+    finally:
+        set_to(saved)
+
+
+@_one_blas_thread()
 def train(
     arch: str,
     train_set: Dataset,
@@ -221,6 +259,9 @@ def train(
     That pass also audits the cache: `log.audit_divergence` is the max
     |cached - from-scratch| over the task MSE and every judge. Above
     `AUDIT_TOL` (or NaN) it raises InternalError.
+
+    It runs with one OpenBLAS thread (`_one_blas_thread`), so its bytes do not
+    depend on the caller's BLAS thread count.
     """
     if test_set is not None and test_set.n != train_set.n:
         raise ParameterError(

@@ -35,17 +35,28 @@ as the from-scratch evaluators do, and copies them out transposed. The one
 (m, n) array is ann's decoder pre-activations ``dec_pre``, which an accepted
 ann hidden proposal updates in place, block by block.
 
+Every logistic has one clamp rule: it clamps to [-CLAMP, CLAMP] unless a
+cached bound on its pre-activations, plus |delta| plus 1.0, stays within
+CLAMP (``_clips``). The 1.0 is a margin for the rounding drift of in-place
+updates. Inputs are +-1 and activations lie in [0, 1], so the bounds are
+Σ|output_w| + |output_bias| for the output node, Σ|encoder[r]| +
+|hidden_bias[r]| for hidden node r, and, for judge g's decoder, max|d| +
+max|b| over nan neuron g's decoder weights d and biases b, or ann's largest
+Σ_j |decoder[i, j]| + |decoder_bias[i]|. An accept renews the bound of what
+it moved. Clamping a value inside [-CLAMP, CLAMP] is the identity, so a
+skipped clamp changes no bit.
+
 Every logistic reads negated pre-activations, through
 ``networks.logistic_neg``. A task or hidden candidate is formed negated, as
 ``x * -delta - pre``: that is ``-(pre + x * delta)`` bit for bit, up to the
 sign of a zero, which exp(±0) = 1 hides. ``accept`` negates it back into
-``out_pre`` or ``h_pre``. These logistics clamp only unless a cached bound
-plus |delta| plus 1.0 stays within CLAMP: Σ|output_w| + |output_bias| for
-the output node, since activations lie in [0, 1], and Σ|encoder[r]| +
-|hidden_bias[r]| for hidden node r, since inputs are ±1. The 1.0 is the
-margin for the rounding drift of in-place updates that ``_needs_clamp``
-also allows. The clamp writes into the activation buffer, never into the
-candidate, so ``out_pre`` and ``h_pre`` always hold unclamped values.
+``out_pre`` or ``h_pre``. Decoder pre-activations are formed the same way,
+times ``_sign`` (-1 for a sigmoid decoder, 1 otherwise) and joined to a bias
+or to ``dec_pre`` by ``_join`` (subtract for a sigmoid, add otherwise). One
+method, ``_errors``, turns them into squared reconstruction errors, for the
+hidden kernel's blocks and for a decoder proposal's one component alike. The
+clamp writes into the activation buffer, never into the candidate, so
+``out_pre``, ``h_pre`` and ``dec_pre`` always hold unclamped values.
 
 The kernel's passes are the cheapest numpy calls that keep those bits. An
 outer product is ``einsum("i,j->ij")``, which rounds each product as
@@ -56,10 +67,7 @@ hidden proposal, ann's with a zero activation shift: a +0.0 product plus or
 minus ``x`` is exactly ``x`` or ``-x``. On rows of 2 to ``EINSUM_SUM_MAX_N``
 components the carry-row sum is ``einsum("ij->j")``, which adds the rows in
 the same order as ``sum(axis=0)``. Errors are squared by ``square``, which
-is ``x * x`` in a faster loop. A sigmoid decoder clamps its pre-activations
-to [-CLAMP, CLAMP] only when the judge's decoder could reach past it (see
-``_needs_clamp``). That answer is cached per judge, and a decoder accept
-renews it at the judge's next hidden proposal.
+is ``x * x`` in a faster loop.
 
 Correctness is defined by the from-scratch evaluators in ``networks``;
 ``scratch_divergence`` measures the gap between the cached ``(task_mse,
@@ -125,7 +133,10 @@ class EvalCache:
             self._blocks = [(s, min(s + self._rows, m)) for s in range(0, m, self._rows)]
             self._buf = np.empty((self._rows + 1, n))
             self._d = np.empty(n)
-            self._sign = -1.0 if network.decoder_activation == "sigmoid" else 1.0
+            sigmoid = network.decoder_activation == "sigmoid"
+            # a sigmoid decoder reads negated pre-activations: -(p + b) is -p - b
+            self._sign = -1.0 if sigmoid else 1.0
+            self._join = np.subtract if sigmoid else np.add
             self._narrow = 2 <= n <= EINSUM_SUM_MAX_N
         self.refresh()
 
@@ -149,7 +160,7 @@ class EvalCache:
         self._node_bound = [_bound(net.encoder[r], net.hidden_bias[r]) for r in range(self.h)]
         self.task_mse = self._task_from(np.negative(self.out_pre, out=self._c3), 0.0)
         judges = {"nan": self.h, "ann": 1, "nn": 0}[net.arch]
-        self._clamp = [self._needs_clamp(g) for g in range(judges)]
+        self._judge_bound = [self._decoder_bound(g) for g in range(judges)]
         self.comp_sums = np.empty((judges, self.n))
         zero = np.zeros(self.m)
         for g in range(judges):
@@ -165,50 +176,41 @@ class EvalCache:
         np.subtract(buf, self.y, out=buf)
         return float(buf @ buf) / self.m
 
-    def _needs_clamp(self, g):
-        """Whether judge g's sigmoid decoder must clamp its pre-activations,
-        that is whether they can leave [-CLAMP, CLAMP].
-
-        Hidden activations lie in [-1, 1]. So nan neuron g's ``act * d + b``
-        is at most max|d| + max|b| in magnitude, with one rounding that cannot
-        pass that bound, and ann's decoder node i at most
-        ``sum_j |decoder[i, j]| + |b_i|``. Accepts update ``dec_pre`` in place,
-        so ann's bound gets a margin of 1.0 for rounding drift, far above any
-        drift that the AUDIT_TOL audit lets pass.
-        """
+    def _decoder_bound(self, g):
+        """A bound on the magnitude of judge g's decoder pre-activations. As
+        activations lie in [0, 1], nan neuron g's ``act * d + b`` is at most
+        max|d| + max|b|, and ann's are at most the largest over decoder nodes i
+        of ``sum_j |decoder[i, j]| + |decoder_bias[i]|``."""
         net = self.net
-        if net.decoder_activation != "sigmoid":
-            return False
         if net.arch == "nan":
-            bound = np.abs(net.decoder[g]).max()
+            bound = float(np.abs(net.decoder[g]).max())
             if net.decoder_bias is not None:
-                bound += np.abs(net.decoder_bias[g]).max()
-        else:
-            rows = np.abs(net.decoder).sum(axis=1)
-            if net.decoder_bias is not None:
-                rows += np.abs(net.decoder_bias)
-            bound = rows.max() + 1.0
-        return bool(bound > nets.CLAMP)
+                bound += float(np.abs(net.decoder_bias[g]).max())
+            return bound
+        rows = np.abs(net.decoder).sum(axis=1)
+        if net.decoder_bias is not None:
+            rows += np.abs(net.decoder_bias)
+        return float(rows.max())
+
+    def _errors(self, pre, x, clip, out):
+        """Squared errors of reconstructing `x` from the ``_sign``-oriented decoder
+        pre-activations `pre`, written into `out` (which may be `pre`). A sigmoid
+        decoder reads them negated, as ``1 / (1 + exp(pre))``, clamping them into
+        `out` first when `clip` is set; tanh and linear decoders read them as they
+        are."""
+        activation = self.net.decoder_activation
+        if activation == "sigmoid":
+            pre = nets.logistic_neg(pre, out, clip)
+        elif activation == "tanh":
+            pre = np.tanh(pre, out=out)
+        np.subtract(pre, x, out=out)
+        return np.square(out, out=out)
 
     def _judge_sums(self, j, act, shift):
         """Per-component error sums of the judge that hidden node j feeds, for
         j's activations `act`, which differ from the cached ones by `shift`:
         nan neuron j scores ``outer(act, decoder[j]) + decoder_bias[j]``, ann's
-        layer ``dec_pre + outer(shift, decoder[:, j])``."""
-        net = self.net
-        g = j if net.arch == "nan" else 0
-        clip = self._clamp[g]
-        if clip is None:  # a decoder accept since the last look
-            clip = self._clamp[g] = self._needs_clamp(g)
-        if net.arch == "nan":
-            b = None if net.decoder_bias is None else net.decoder_bias[j]
-            return self._col_sums(act, net.decoder[j], b, clip)
-        return self._col_sums(shift, net.decoder[:, j], self.dec_pre, clip)
-
-    def _col_sums(self, act, d, base, clip):
-        """Squared reconstruction errors of the decoder pre-activations
-        ``outer(act, d) + base``, summed per component. `base` is None, one (n,)
-        row or an (m, n) array.
+        layer ``dec_pre + outer(shift, decoder[:, j])``.
 
         The examples are walked in blocks of `_rows` rows through the
         ``(_rows + 1, n)`` scratch `_buf`, whose row 0 carries the running
@@ -218,33 +220,21 @@ class EvalCache:
         sum with ``einsum("ij->j")``, which adds in the same order and is
         faster on narrow rows. The sums go to a separate vector, since an `out`
         that overlaps the input makes numpy copy the input first.
-
-        The outer product is ``einsum("i,j->ij")``: the bits of
-        ``multiply.outer``, except that a zero product is +0.0, a sign that the
-        activation or the square removes before any sum. ``square(x)`` is
-        ``x * x`` bit for bit, in a faster loop. A sigmoid decoder
-        computes 1 / (1 + exp(p)) from the negated pre-activations
-        ``p = outer(act, -d) - base``, which equal ``-(outer(act, d) + base)``
-        bit for bit; `clip` False skips the clamp where ``_needs_clamp`` has
-        shown |p| <= CLAMP.
         """
-        activation = self.net.decoder_activation
+        net = self.net
+        if net.arch == "nan":
+            g, left, d = j, act, net.decoder[j]
+            base = None if net.decoder_bias is None else net.decoder_bias[j]
+        else:
+            g, left, d, base = 0, shift, net.decoder[:, j], self.dec_pre
+        clip = _clips(self._judge_bound[g], 0.0)
         d = np.multiply(d, self._sign, out=self._d)
         buf, sums = self._buf, np.zeros(self.n)
         for s, e in self._blocks:
-            blk = nets.einsum("i,j->ij", act[s:e], d, out=buf[1:e - s + 1])
-            part = base[s:e] if base is not None and base.ndim == 2 else base
-            if part is not None:
-                if activation == "sigmoid":
-                    np.subtract(blk, part, out=blk)
-                else:
-                    np.add(blk, part, out=blk)
-            if activation == "sigmoid":
-                nets.logistic_neg(blk, blk, clip)
-            elif activation == "tanh":
-                np.tanh(blk, out=blk)
-            np.subtract(blk, self.X[s:e], out=blk)
-            np.square(blk, out=blk)
+            blk = nets.einsum("i,j->ij", left[s:e], d, out=buf[1:e - s + 1])
+            if base is not None:
+                self._join(blk, base[s:e] if base.ndim == 2 else base, out=blk)
+            self._errors(blk, self.X[s:e], clip, blk)
             buf[0] = sums
             if self._narrow:
                 nets.einsum("ij->j", buf[:e - s + 1], out=sums)
@@ -291,23 +281,24 @@ class EvalCache:
                 self._pending = (flat, delta, j, g, cand, sums)
                 return self.ae[g], cand
         else:
-            # a decoder weight or bias: _c1 gets the candidate pre-activations
-            # of the one reconstructed component i it moves
+            # a decoder weight or bias: _c1 gets the _sign-oriented candidate
+            # pre-activations of the one reconstructed component i it moves,
+            # formed as the kernel forms them
             if net.arch == "nan":
                 # nan keeps no decoder pre-activations, so component i is rebuilt;
                 # a zero added to the unmoved term can only flip the sign of a zero
                 g, i = r, c
-                np.multiply(self.h_act[r], net.decoder[r, i] + (0.0 if bias else delta),
-                            out=self._c1)
+                d = net.decoder[r, i] + (0.0 if bias else delta)
+                np.multiply(self.h_act[r], self._sign * d, out=self._c1)
                 if net.decoder_bias is not None:
-                    self._c1 += net.decoder_bias[r, i] + (delta if bias else 0.0)
+                    self._join(self._c1, net.decoder_bias[r, i] + (delta if bias else 0.0),
+                               out=self._c1)
             else:
                 g, i = 0, r
-                np.multiply(1.0 if bias else self.h_act[c], delta, out=self._c1)
-                self._c1 += self.dec_pre[:, i]
-            col = nets._dec_act_vec(net.decoder_activation, self._c1, out=self._c2)
-            col -= self.X[:, i]
-            np.multiply(col, col, out=col)
+                np.multiply(1.0 if bias else self.h_act[c], self._sign * delta, out=self._c1)
+                self._join(self._c1, self.dec_pre[:, i], out=self._c1)
+            col = self._errors(self._c1, self.X[:, i], _clips(self._judge_bound[g], delta),
+                               self._c2)
             s_new = float(col.sum())
             total = float(self.comp_sums[g].sum()) - float(self.comp_sums[g, i]) + s_new
             cand = total / (self.m * self.n)
@@ -352,10 +343,10 @@ class EvalCache:
         else:
             i, s_new = staged
             if net.arch == "ann":
-                self.dec_pre[:, i] = self._c1
+                np.multiply(self._c1, self._sign, out=self.dec_pre[:, i])
             self.comp_sums[g, i] = s_new
             self.ae[g] = cand
-            self._clamp[g] = None
+            self._judge_bound[g] = self._decoder_bound(g)
         self._pending = None
 
     def reject(self) -> None:

@@ -189,10 +189,9 @@ class Network:
 
     def coord(self, u: int) -> Coord:
         """The coordinate at flat index u."""
-        for layer, (offset, shape) in self.layout.items():
-            if 0 <= u < offset + math.prod(shape):
-                row, col = divmod(u - offset, (shape + (1, 1))[1])
-                return Coord(layer, row, col)
+        for layer, (offset, rows, cols) in self._index.items():
+            if 0 <= u < offset + rows * cols:
+                return Coord(layer, *divmod(u - offset, cols))
         raise ParameterError(f"flat index {u} out of range for {self.params.size} parameters")
 
 

@@ -12,10 +12,11 @@ direction.
 
 The bits depend on the numpy version and on the SIMD targets numpy
 dispatches to, so the digests are keyed by both. A config with no digest
-under this key fails and names itself and the key. They also depend on the
-BLAS thread count: at n=1000 the cached pre-activations `X @ encoder.T`
-round differently with one OpenBLAS thread than with two, which is why
-`run_config` pins one.
+under this key fails and names itself and the key. At n=1000 the products
+`X @ encoder.T` round differently with one OpenBLAS thread than with two, so
+`hillclimb.train` runs with one thread whatever the process asks for, and
+`run_config` pins one as well; the n1000 config is also run with two
+threads and no pinning, and must write the same tree.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -25,6 +26,8 @@ purpose records new ones and says so.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -71,14 +74,37 @@ def recorded() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
 
 
-# configs(), not DIGESTS: a config with no recorded digest must fail, not drop out
-@pytest.mark.parametrize("name", same_trees.configs())
-def test_tree_matches_golden_digest(name, tmp_path):
+def golden(name) -> str:
+    """Config `name`'s recorded digest under this numpy's key; fails without one."""
     key, table = numpy_key(), recorded()
     if name not in table.get(key, {}):
         pytest.fail(f"no golden digest for config {name!r} under {key!r}; recorded keys: "
                     f"{sorted(table)}. Record them with `{RECORD}`.")
-    assert tree_digest(run_golden(name, tmp_path / name)) == table[key][name]
+    return table[key][name]
+
+
+# configs(), not DIGESTS: a config with no recorded digest must fail, not drop out
+@pytest.mark.parametrize("name", same_trees.configs())
+def test_tree_matches_golden_digest(name, tmp_path):
+    expected = golden(name)
+    assert tree_digest(run_golden(name, tmp_path / name)) == expected
+
+
+def test_n1000_tree_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """The n1000 config, run through `same_trees`' child with two OpenBLAS
+    threads and no pinning, writes the tree recorded for one thread."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("OpenBLAS runs at most one thread per CPU, and this process has one CPU")
+    expected = golden("n1000")
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="2", PYTHONDONTWRITEBYTECODE="1")
+    out = tmp_path / "n1000"
+    out.mkdir()
+    argvs = json.dumps(same_trees.configs()["n1000"])
+    subprocess.run([sys.executable, "-c", same_trees.CHILD, str(ROOT / "src"), str(out), argvs],
+                   env=env, cwd=tmp_path, check=True, stdout=subprocess.DEVNULL)
+    assert tree_digest(out) == expected
 
 
 def test_a_config_without_a_digest_fails_naming_it(monkeypatch, tmp_path):

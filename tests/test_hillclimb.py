@@ -6,7 +6,7 @@ import pytest
 
 from nkae import Dataset, EvalCache, InternalError, ParameterError, TrainConfig, init_network
 from nkae import ExperimentConfig, gen_dataset, nk_new, run_experiment
-from nkae import experiments
+from nkae import experiments, hillclimb
 from nkae import networks as nets
 from nkae.hillclimb import (
     CYCLE_HEADER,
@@ -332,6 +332,44 @@ def test_train_rejects_mismatched_sets():
     other, _ = make_cell(n=8)
     with pytest.raises(ParameterError):
         train("nn", train_set, other, TrainConfig(seed=0, h=2))
+
+
+def test_train_runs_one_blas_thread_and_restores_the_count(monkeypatch):
+    """The climb runs with one OpenBLAS thread, and the caller's count comes
+    back after a run and after a run that raises."""
+    threads = hillclimb._blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get, set_to = threads
+    seen, cache = [], hillclimb.EvalCache
+    monkeypatch.setattr(hillclimb, "EvalCache", lambda *args: seen.append(get()) or cache(*args))
+    train_set, _ = make_cell(n=10)
+    other, _ = make_cell(n=8)
+    saved = get()
+    set_to(3)
+    try:
+        train("nn", train_set, None, TrainConfig(seed=0, iterations=5, h=2))
+        assert seen == [1] and get() == 3
+        with pytest.raises(ParameterError):
+            train("nn", train_set, other, TrainConfig(seed=0, h=2))
+        assert get() == 3
+    finally:
+        set_to(saved)
+
+
+def test_train_without_the_bundled_openblas_warns_once_and_runs(monkeypatch, capsys):
+    def no_library(path):
+        raise OSError(path)
+
+    monkeypatch.setattr(hillclimb.ctypes, "CDLL", no_library)
+    hillclimb._blas_threads.cache_clear()
+    try:
+        train_set, _ = make_cell()
+        for seed in (0, 1):
+            train("nn", train_set, None, TrainConfig(seed=seed, iterations=5, h=2))
+        assert capsys.readouterr().err.count("not pinned to one BLAS thread") == 1
+    finally:
+        hillclimb._blas_threads.cache_clear()
 
 
 CLIMBS = {

@@ -242,8 +242,8 @@ def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
 class ClampAlways(EvalCache):
     """An EvalCache whose sigmoid decoders clamp every pre-activation."""
 
-    def _needs_clamp(self, g):
-        return True
+    def _decoder_bound(self, g):
+        return np.inf
 
 
 def clamped_layer_sums(dec_pre, X):
@@ -318,7 +318,8 @@ def parent_outcome(cache, coord, delta):
         return float(sums[g].sum()) / (m * n), sums, task
     if net.arch == "nan":
         g, i = r, c
-        d, b = net.decoder[r, i], net.decoder_bias[r, i]
+        d = net.decoder[r, i]
+        b = 0.0 if net.decoder_bias is None else net.decoder_bias[r, i]
         if layer == "decoder":
             pre = cache.h_act[r] * (d + delta) + b
         else:
@@ -370,11 +371,17 @@ def test_signed_zero_decoder_proposals_keep_the_bits_of_branch_per_bias(arch,
 
 
 def unclamped_pre_activations(cache, coord, delta):
-    """(out_pre, hidden node r's pre-activations or None) after accepting
-    `coord += delta`, updated incrementally and never clamped."""
+    """(out_pre, the pre-activations of hidden node r, of ann's decoder node r
+    or None) after accepting `coord += delta`, updated incrementally and never
+    clamped."""
     net, (layer, r, c) = cache.net, coord
     if layer in ("output_w", "output_bias"):
         return cache.out_pre + (delta if layer == "output_bias" else cache.h_act[r] * delta), None
+    if layer.startswith("decoder"):
+        if net.arch == "nan":
+            return cache.out_pre.copy(), None
+        move = delta if layer == "decoder_bias" else cache.h_act[c] * delta
+        return cache.out_pre.copy(), cache.dec_pre[:, r] + move
     h_pre = cache.h_pre[r] + (delta if layer == "hidden_bias" else cache.X[:, c] * delta)
     shift = nets.sigmoid_vec(h_pre) - cache.h_act[r]
     return cache.out_pre + shift * net.output_w[r], h_pre
@@ -383,32 +390,42 @@ def unclamped_pre_activations(cache, coord, delta):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("arch", ["nan", "ann", "nn"])
 def test_logistics_clamp_past_clamp_and_stored_pre_activations_stay_unclamped(arch, sign):
-    """Output pre-activations near +-1200 and one hidden node whose encoder row
-    sums to 800 in |w| (example 0's pre-activation is -740): every candidate and
-    task MSE keep the bits of the always-clamping formulas of `parent_outcome`,
-    no exp overflows, and the cached pre-activations are the unclamped ones."""
-    net, ds, _ = make_cache(arch, n=20, h=10, count=31)
+    """Output pre-activations near +-1200, one hidden node whose encoder row
+    sums to 800 in |w| (example 0's pre-activation is -740) and one decoder
+    row of weights -1e6 (nan's neuron 1, ann's decoder node 1): every
+    candidate and task MSE keep the bits of the always-clamping formulas of
+    `parent_outcome`, no exp overflows, and the cached pre-activations are
+    the unclamped ones."""
+    net, ds, _ = make_cache(arch, n=20, h=10, count=31, decoder_bias=True)
     net.output_w[...] = 120.0 * sign
     net.hidden_bias[...] = 60.0
     net.encoder[1] = -40.0 * ds.inputs[0]
     coords = [nets.Coord("output_bias", 0, 0), nets.Coord("output_w", 1, 0),
               nets.Coord("encoder", 1, 3), nets.Coord("hidden_bias", 1, 0),
               nets.Coord("encoder", 4, 7), nets.Coord("output_w", 4, 0)]
+    if arch != "nn":
+        net.decoder[1] = -1e6
+        # nan's (h, n) decoder rows are neurons, ann's (n, h) rows decoder nodes
+        bias_col = 5 if arch == "nan" else 0
+        coords += [nets.Coord("decoder", 1, 2), nets.Coord("decoder_bias", 1, bias_col),
+                   nets.Coord("decoder", 4, 3), nets.Coord("decoder_bias", 4, bias_col)]
     with np.errstate(over="raise"):
         cache = EvalCache(net, ds)
         assert np.abs(cache.out_pre).max() > 1000.0 and cache.h_pre[1].min() < -700.0
         for step, coord in enumerate(coords * 2):
             delta = (0.5, -0.25, 3.0)[step % 3]
             cand, sums, task = parent_outcome(cache, coord, delta)
-            out_pre, h_pre = unclamped_pre_activations(cache, coord, delta)
+            out_pre, pre = unclamped_pre_activations(cache, coord, delta)
             _, candidate = cache.propose(coord, delta)
             assert candidate.hex() == cand.hex(), (coord, delta)
             cache.accept()
             assert np.array_equal(bits(cache.comp_sums), bits(sums)), (coord, delta)
             assert cache.task_mse.hex() == task.hex(), (coord, delta)
             assert np.array_equal(cache.out_pre, out_pre), (coord, delta)
-            if h_pre is not None:
-                assert np.array_equal(cache.h_pre[coord.row], h_pre), (coord, delta)
+            if pre is not None:
+                decoder = coord.layer.startswith("decoder")
+                stored = cache.dec_pre[:, coord.row] if decoder else cache.h_pre[coord.row]
+                assert np.array_equal(stored, pre), (coord, delta)
     assert divergence(cache, ds) < 1e-12
 
 
@@ -416,16 +433,23 @@ def test_logistics_clamp_past_clamp_and_stored_pre_activations_stay_unclamped(ar
 def test_judge_clamp_follows_decoder_accepts_both_ways(arch):
     """A decoder accept moves one weight of nan's neuron 1, or of ann's decoder
     node 1, past CLAMP, back, and past it again; exp(1e6 * act) overflows
-    unless the next hidden proposal of node 1 clamps, and its sums keep the
-    bits of one clamped (m, n) array."""
+    unless the next proposal of that weight and the next hidden proposal of
+    node 1 clamp. The decoder proposal's candidate keeps the bits of the
+    always-clamping `parent_outcome`, and the hidden proposal's sums those of
+    one clamped (m, n) array."""
     net, ds, cache = make_cache(arch, count=31)
     X = ds.inputs
     g = 1 if arch == "nan" else 0
+    coord = nets.Coord("decoder", 1, 2)
     rng = np.random.default_rng(8)
     with np.errstate(over="raise"):
         for delta in (-1e6, 1e6, -1e6):
-            cache.propose(nets.Coord("decoder", 1, 2), delta)
+            cache.propose(coord, delta)
             cache.accept()
+            move = float(rng.uniform(-1, 1))
+            cand, _, _ = parent_outcome(cache, coord, move)
+            assert cache.propose(coord, move)[1].hex() == cand.hex(), delta
+            cache.reject()
             cache.propose(nets.Coord("encoder", 1, int(rng.integers(8))), float(rng.uniform(-1, 1)))
             cache.accept()
             if arch == "nan":

@@ -52,10 +52,40 @@ def test_bench_pairs_reads_git_state_first_and_takes_a_plain_directory(
     assert bench_pairs.main([str(parent), "--workload", "w", "--seeds", "1-2",
                              "--out", str(out)]) == 0
     assert events == ["git", "git", "run", "run", "run", "run"]
-    record = json.loads(out.read_text())
+    entry = json.loads(out.read_text())["runs"]["w --trace 0 --seeds 1,2"]
     parent = parent.resolve()
     assert states[parent] == "not a git checkout"
-    assert record["checkouts"] == {"parent": states[parent], "change": states[bench_pairs.ROOT]}
+    assert entry["checkouts"] == {"parent": states[parent], "change": states[bench_pairs.ROOT]}
+
+
+def test_bench_pairs_keeps_each_seed_list_and_refuses_a_repeat(
+        bench_pairs, monkeypatch, tmp_path, capsys):
+    parent = plain_parent(tmp_path)
+    monkeypatch.setattr(bench_pairs, "_bytecode", lambda checkout: None)
+    runs = []
+
+    def fake_run_once(checkout, workload, seed, trace):
+        runs.append(seed)
+        return {"sweep_ref": float(seed)}, {"numpy": f"run {len(runs)}"}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "pairs.json"
+
+    def run(seeds):
+        return bench_pairs.main([str(parent), "--workload", "w", "--seeds", seeds,
+                                 "--out", str(out)])
+
+    assert run("1-2") == 0 and run("3") == 0
+    entries = json.loads(out.read_text())["runs"]
+    assert sorted(entries) == ["w --trace 0 --seeds 1,2", "w --trace 0 --seeds 3"]
+    assert [p["seed"] for p in entries["w --trace 0 --seeds 1,2"]["pairs"]] == [1, 2]
+    assert entries["w --trace 0 --seeds 1,2"]["environment"] == {"numpy": "run 1"}
+    assert entries["w --trace 0 --seeds 3"]["environment"] == {"numpy": "run 5"}
+    assert "checkouts" in entries["w --trace 0 --seeds 3"]
+    before, runs[:] = out.read_text(), []
+    assert run("1,2") == 1
+    assert runs == [] and out.read_text() == before
+    assert "already holds the run 'w --trace 0 --seeds 1,2'" in capsys.readouterr().err
 
 
 def test_bench_pairs_refuses_a_checkout_with_compiled_modules(

@@ -6,12 +6,13 @@
 Pair i runs `benchmarks/run.py --workload W --seed S --trace T` once in each
 checkout, each with its own benchmark files, on seed S, the i-th of
 `--seeds`. Even-numbered pairs (from 0) run the parent first and odd ones
-the change first. Every run's metrics go to `--out`, with the environment
-the first run printed, each checkout's commit (read before the first pair;
-a directory without git, such as a `git archive` export, is recorded as
-"not a git checkout") and, per metric, each side's median and quartiles and
-the number of pairs in which the change read better, worse or the same, by
-the direction `BENCHMARK.json` gives. Each metric also gets two verdicts:
+the change first. Every run's metrics go to one entry of `--out`, keyed by
+workload, trace and seed list, with the environment the first run printed,
+each checkout's commit (read before the first pair; a directory without
+git, such as a `git archive` export, is recorded as "not a git checkout")
+and, per metric, each side's median and quartiles and the number of pairs
+in which the change read better, worse or the same, by the direction
+`BENCHMARK.json` gives. Each metric also gets two verdicts:
 
 - `claim_met`: the change read better in at least 9 of 10 pairs (a tie
   counts for neither side), and its median is better than the parent's by
@@ -19,9 +20,10 @@ the direction `BENCHMARK.json` gives. Each metric also gets two verdicts:
 - `within_bound`: the change's median is worse than the parent's by at most
   the relative `bound` of `BENCHMARK.json` (null for a metric with none).
 
-An existing `--out` file keeps its other (workload, trace) entries, so one
-file can hold several workloads. Exits 1 if a run fails or its output checks
-fail, and, before the first pair, if either checkout has a
+An existing `--out` file keeps its other entries, so one file can hold
+several workloads and several seed lists of one workload. Exits 1 if a run
+fails or its output checks fail, and, before the first pair, if `--out`
+already holds the entry of this run, or if either checkout has a
 `src/nkae/__pycache__`: a run imports the compiled modules there instead of
 compiling nkae's sources, so a one-sided or stale cache skews the pairs.
 """
@@ -139,6 +141,11 @@ def main(argv=None) -> int:
             print(f"{cache} holds compiled modules that would skew the pairs: delete it, or "
                   "benchmark `git archive` exports of both commits", file=sys.stderr)
             return 1
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    key = f"{args.workload} --trace {args.trace} --seeds {','.join(map(str, args.seeds))}"
+    if key in record.get("runs", {}):
+        print(f"{args.out} already holds the run {key!r}", file=sys.stderr)
+        return 1
     checkouts = {side: _git_state(path) for side, path in sides.items()}
     pairs, environment = [], None
     for i, seed in enumerate(args.seeds):
@@ -148,10 +155,8 @@ def main(argv=None) -> int:
             environment = environment or env
         print(json.dumps(pair), flush=True)
         pairs.append(pair)
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record["environment"] = environment
-    record["checkouts"] = checkouts
-    record.setdefault("runs", {})[f"{args.workload} --trace {args.trace}"] = {
+    record.setdefault("runs", {})[key] = {
+        "environment": environment, "checkouts": checkouts,
         "pairs": pairs, "summary": summarize(pairs, metrics),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
