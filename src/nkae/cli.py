@@ -153,7 +153,7 @@ def build_parser() -> _Parser:
                    help="sample a new dataset pair for every run instead of per cell")
     p.add_argument("--workers", type=int, default=sweep["workers"],
                    help="parallel trial processes, at most one per pending trial "
-                        "and per CPU (default: %(default)s)")
+                        "and per usable CPU (default: %(default)s)")
 
     p = sub.add_parser("stats", help="statistical reports over result files",
                        description="Statistical comparison of two result samples.")

@@ -59,6 +59,14 @@ def derive_seed(master: int, purpose: int, n: int = 0, k: int = 0, arch_code: in
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (so `taskset` counts), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_distinct(name, values) -> None:
     if len(set(values)) != len(values):
         raise ParameterError(f"{name} repeats a value: {values}")
@@ -277,7 +285,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
             pending.append(spec)
     # The fork start method starts every worker at once, so ask for no more
     # than can be busy.
-    workers = min(config.workers, len(pending), os.cpu_count() or 1)
+    workers = min(config.workers, len(pending), usable_cpus())
     try:
         if workers > 1:
             # imported here: it loads `multiprocessing`, which only a pool needs

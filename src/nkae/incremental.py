@@ -40,11 +40,14 @@ cached bound on its pre-activations, plus |delta| plus 1.0, stays within
 CLAMP (``_clips``). The 1.0 is a margin for the rounding drift of in-place
 updates. Inputs are +-1 and activations lie in [0, 1], so the bounds are
 Σ|output_w| + |output_bias| for the output node, Σ|encoder[r]| +
-|hidden_bias[r]| for hidden node r, and, for judge g's decoder, max|d| +
-max|b| over nan neuron g's decoder weights d and biases b, or ann's largest
-Σ_j |decoder[i, j]| + |decoder_bias[i]|. An accept renews the bound of what
-it moved. Clamping a value inside [-CLAMP, CLAMP] is the identity, so a
-skipped clamp changes no bit.
+|hidden_bias[r]| for hidden node r, and, for judge g's decoder, the largest
+of its per-component bounds: |decoder[g, i]| + |decoder_bias[g, i]| for nan
+neuron g, Σ_j |decoder[i, j]| + |decoder_bias[i]| for ann. An accept renews
+the bound of what it moved; a decoder accept renews one component's bound,
+and re-takes the judge's largest only when that component held it and fell.
+Only a sigmoid decoder clamps, so tanh and linear judges keep no bound.
+Clamping a value inside [-CLAMP, CLAMP] is the identity, so a skipped clamp
+changes no bit.
 
 Every logistic reads negated pre-activations, through
 ``networks.logistic_neg``. A task or hidden candidate is formed negated, as
@@ -160,7 +163,13 @@ class EvalCache:
         self._node_bound = [_bound(net.encoder[r], net.hidden_bias[r]) for r in range(self.h)]
         self.task_mse = self._task_from(np.negative(self.out_pre, out=self._c3), 0.0)
         judges = {"nan": self.h, "ann": 1, "nn": 0}[net.arch]
-        self._judge_bound = [self._decoder_bound(g) for g in range(judges)]
+        if judges and net.decoder_activation == "sigmoid":
+            self._comp_bound = self._component_bounds()
+            self._judge_bound = self._comp_bound.max(axis=1).tolist()
+        else:
+            # tanh and linear decoders never clamp, so their judges stay unbounded
+            self._comp_bound = None
+            self._judge_bound = [np.inf] * judges
         self.comp_sums = np.empty((judges, self.n))
         zero = np.zeros(self.m)
         for g in range(judges):
@@ -176,21 +185,36 @@ class EvalCache:
         np.subtract(buf, self.y, out=buf)
         return float(buf @ buf) / self.m
 
-    def _decoder_bound(self, g):
-        """A bound on the magnitude of judge g's decoder pre-activations. As
+    def _component_bounds(self):
+        """(judges, n) bounds on the magnitudes of the judges' decoder
+        pre-activations, one per judge and reconstructed component i. As
         activations lie in [0, 1], nan neuron g's ``act * d + b`` is at most
-        max|d| + max|b|, and ann's are at most the largest over decoder nodes i
-        of ``sum_j |decoder[i, j]| + |decoder_bias[i]|``."""
+        |decoder[g, i]| + |decoder_bias[g, i]|, and ann's are at most
+        ``sum_j |decoder[i, j]| + |decoder_bias[i]|``."""
         net = self.net
-        if net.arch == "nan":
-            bound = float(np.abs(net.decoder[g]).max())
-            if net.decoder_bias is not None:
-                bound += float(np.abs(net.decoder_bias[g]).max())
-            return bound
-        rows = np.abs(net.decoder).sum(axis=1)
+        bounds = np.abs(net.decoder)
+        if net.arch == "ann":
+            bounds = bounds.sum(axis=1)
         if net.decoder_bias is not None:
-            rows += np.abs(net.decoder_bias)
-        return float(rows.max())
+            bounds += np.abs(net.decoder_bias)
+        return bounds.reshape(-1, self.n)
+
+    def _renew_judge_bound(self, g, i):
+        """Renew judge g's bound after a decoder weight or bias of component i
+        moved: O(1) for nan and O(h) for ann, plus one pass over the judge's n
+        component bounds when component i held the largest and fell."""
+        net = self.net
+        # a nan component has one weight (a float is cheaper than numpy on it), ann's h
+        key = (g, i) if net.arch == "nan" else i
+        w = net.decoder[key]
+        new = abs(float(w)) if net.arch == "nan" else float(np.abs(w).sum())
+        if net.decoder_bias is not None:
+            new += abs(float(net.decoder_bias[key]))
+        old, self._comp_bound[g, i] = self._comp_bound[g, i], new
+        if new >= self._judge_bound[g]:
+            self._judge_bound[g] = new
+        elif old == self._judge_bound[g]:
+            self._judge_bound[g] = float(self._comp_bound[g].max())
 
     def _errors(self, pre, x, clip, out):
         """Squared errors of reconstructing `x` from the ``_sign``-oriented decoder
@@ -346,7 +370,8 @@ class EvalCache:
                 np.multiply(self._c1, self._sign, out=self.dec_pre[:, i])
             self.comp_sums[g, i] = s_new
             self.ae[g] = cand
-            self._judge_bound[g] = self._decoder_bound(g)
+            if self._comp_bound is not None:
+                self._renew_judge_bound(g, i)
         self._pending = None
 
     def reject(self) -> None:

@@ -70,13 +70,23 @@ class NkLandscape:
     """
 
     def __init__(self, n, k, seed, neighbors, tables, neighbor_mode="random"):
+        self._set(n, k, seed, neighbors, tables, neighbor_mode)
+        self._validate()
+
+    @classmethod
+    def _drawn(cls, n, k, seed, neighbors, tables, neighbor_mode):
+        """A landscape from nkae's own draws, which need no re-check."""
+        landscape = cls.__new__(cls)
+        landscape._set(n, k, seed, neighbors, tables, neighbor_mode)
+        return landscape
+
+    def _set(self, n, k, seed, neighbors, tables, neighbor_mode):
         self.n = int(n)
         self.k = int(k)
         self.seed = int(seed)
         self.neighbors = np.asarray(neighbors, dtype=np.int64)
         self.tables = np.asarray(tables, dtype=np.float64)
         self.neighbor_mode = neighbor_mode
-        self._validate()
 
     def _validate(self):
         check_size(self.n, self.k)
@@ -134,12 +144,13 @@ def nk_new(n: int, k: int, seed: int, neighbor_mode: str = "random") -> NkLandsc
 
     Neighbor rows are drawn gene by gene (uniform without replacement, or the
     next k indices cyclically for "adjacent"), then all table entries in one
-    uniform [0, 1) draw.
+    uniform [0, 1) draw. The draws are valid by construction, so they skip the
+    checks that the constructor runs on landscapes from elsewhere.
     """
     rng = np.random.default_rng(seed)
     neighbors = _draw_neighbors(rng, n, k, neighbor_mode)
     tables = rng.random((n, 2 ** (k + 1)))
-    return NkLandscape(n, k, seed, neighbors, tables, neighbor_mode)
+    return NkLandscape._drawn(n, k, seed, neighbors, tables, neighbor_mode)
 
 
 def _check_genomes(landscape, genomes):

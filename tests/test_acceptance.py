@@ -2,8 +2,8 @@
 
 Each test prints an `ACCEPTANCE n: PASS/FAIL` line (repeated in a summary
 after the run; use `pytest -s` to see them live). Criteria 6 and 7 run the
-real experiments and take several minutes each; the whole module fits in
-the stated runtime budgets on a single core.
+real experiments as sweeps on every usable CPU and take minutes each; the
+whole module fits in the stated runtime budgets on a single core.
 """
 
 import time
@@ -28,13 +28,11 @@ from nkae import (
 )
 from nkae import networks as nets
 from nkae.experiments import (
-    ARCH_CODES,
     PURPOSE_LANDSCAPE,
-    PURPOSE_TEST_DATA,
     PURPOSE_TRAIN_DATA,
-    PURPOSE_TRIAL,
     derive_seed,
     emit_series,
+    usable_cpus,
 )
 from nkae.incremental import scratch_divergence, scratch_objectives
 
@@ -50,6 +48,11 @@ from oracles import (
     same_network,
 )
 from test_stats import SW_FIXTURES, WELCH_FIXTURES, closed_form_welch
+
+
+# the sweeps of criteria 6 and 7 run one worker process per usable CPU; their
+# bytes do not depend on the worker count (criterion 3)
+WORKERS = usable_cpus()
 
 
 def check(criterion, ok, detail):
@@ -190,7 +193,7 @@ def small_n_sweep(tmp_path_factory):
     start = time.perf_counter()
     config = ExperimentConfig(
         master_seed=1001, out_dir=out, n_grid=(20,), k_grid=(2, 5, 10, 15),
-        archs=("nan", "ann"), runs=20, train_config=TrainConfig(seed=0),
+        archs=("nan", "ann"), runs=20, train_config=TrainConfig(seed=0), workers=WORKERS,
     )
     results = run_experiment(config)
     return out, results, time.perf_counter() - start
@@ -214,7 +217,7 @@ def test_criterion_6_small_n_directional_claim(small_n_sweep):
             failures.append(f"k={k}: ANN significantly better (p={t['p_value']:.3g})")
     (out / "c6_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     ok = not failures and elapsed < 900.0
-    check(6, ok, f"{'; '.join(cell_summaries)}; {elapsed:.0f}s (< 900s)"
+    check(6, ok, f"{'; '.join(cell_summaries)}; {elapsed:.0f}s with {WORKERS} workers (< 900s)"
                  + (f"; FAILURES: {failures}" if failures else ""))
 
 
@@ -246,18 +249,12 @@ def test_criterion_8_fig5_series_consistency(small_n_sweep):
 
 def test_criterion_7_large_n_directional_claim(tmp_path):
     start = time.perf_counter()
-    master = 2002
-    land = nk_new(1000, 5, derive_seed(master, PURPOSE_LANDSCAPE, 1000, 5))
-    train_set = gen_dataset(land, 1000, derive_seed(master, PURPOSE_TRAIN_DATA, 1000, 5))
-    test_set = gen_dataset(land, 1000, derive_seed(master, PURPOSE_TEST_DATA, 1000, 5))
-    finals = {}
-    for arch in ("nan", "nn"):
-        values = []
-        for run in range(20):
-            seed = derive_seed(master, PURPOSE_TRIAL, 1000, 5, ARCH_CODES[arch], run)
-            _, log = train(arch, train_set, test_set, TrainConfig(seed=seed))
-            values.append(log.final_test_task_mse)
-        finals[arch] = values
+    results = run_experiment(ExperimentConfig(
+        master_seed=2002, out_dir=tmp_path, n_grid=(1000,), k_grid=(5,), archs=("nan", "nn"),
+        runs=20, workers=WORKERS,
+    ))
+    # results come sorted by arch, then run
+    finals = {arch: [r.final_test_mse for r in results if r.arch == arch] for arch in ("nan", "nn")}
     nan_mean = float(np.mean(finals["nan"]))
     nn_mean = float(np.mean(finals["nn"]))
     report = welch_t_test(finals["nan"], finals["nn"])
@@ -268,4 +265,4 @@ def test_criterion_7_large_n_directional_claim(tmp_path):
     )
     ok = nan_mean <= nn_mean and elapsed < 1800.0
     check(7, ok, f"n=1000 k=5: nan {nan_mean:.6f} <= nn {nn_mean:.6f}: {nan_mean <= nn_mean}, "
-                 f"Welch p={report.p_value:.3g}; {elapsed:.0f}s (< 1800s)")
+                 f"Welch p={report.p_value:.3g}; {elapsed:.0f}s with {WORKERS} workers (< 1800s)")

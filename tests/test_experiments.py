@@ -157,19 +157,31 @@ class SerialPool:
     "archs, runs, workers, cpus, sizes",
     [
         (("nan",), 2, 500, 64, [2]),             # capped by the pending trials
-        (("nan", "ann", "nn"), 2, 500, 3, [3]),  # capped by the CPU count
+        (("nan", "ann", "nn"), 2, 500, 3, [3]),  # capped by the usable CPUs
         (("nan", "ann", "nn"), 2, 4, 64, [4]),
         (("nan",), 1, 500, 64, []),              # one trial runs in-process
+        (("nan",), 2, 500, 1, []),               # one usable CPU runs them in-process
     ],
 )
 def test_worker_pool_sized_to_pending_trials_and_cpus(tmp_path, monkeypatch,
                                                        archs, runs, workers, cpus, sizes):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(exps.os, "cpu_count", lambda: cpus)
+    # `cpus` usable CPUs of a machine with more, as under `taskset`
+    monkeypatch.setattr(exps.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(exps.os, "cpu_count", lambda: 128)
     monkeypatch.setattr(SerialPool, "sizes", [])
     config = tiny_config(tmp_path / "out", runs=runs, archs=archs, workers=workers)
     assert len(run_experiment(config)) == len(archs) * runs
     assert SerialPool.sizes == sizes
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(exps.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(exps.os, "cpu_count", lambda: 3)
+    assert exps.usable_cpus() == 3
+    monkeypatch.setattr(exps.os, "cpu_count", lambda: None)
+    assert exps.usable_cpus() == 1
 
 
 def test_import_loads_no_process_pool():

@@ -16,7 +16,8 @@ under this key fails and names itself and the key. At n=1000 the products
 `X @ encoder.T` round differently with one OpenBLAS thread than with two, so
 `hillclimb.train` runs with one thread whatever the process asks for, and
 `run_config` pins one as well; the n1000 config is also run with two
-threads and no pinning, and must write the same tree.
+threads and no pinning, and with two worker processes, and must write the
+same tree both ways.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -35,6 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nkae.experiments import usable_cpus
 from nkae.hillclimb import read_cycle_log
 
 from helpers import load_tool
@@ -93,8 +95,7 @@ def test_tree_matches_golden_digest(name, tmp_path):
 def test_n1000_tree_does_not_depend_on_the_blas_thread_count(tmp_path):
     """The n1000 config, run through `same_trees`' child with two OpenBLAS
     threads and no pinning, writes the tree recorded for one thread."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
+    if usable_cpus() < 2:
         pytest.skip("OpenBLAS runs at most one thread per CPU, and this process has one CPU")
     expected = golden("n1000")
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -105,6 +106,18 @@ def test_n1000_tree_does_not_depend_on_the_blas_thread_count(tmp_path):
     subprocess.run([sys.executable, "-c", same_trees.CHILD, str(ROOT / "src"), str(out), argvs],
                    env=env, cwd=tmp_path, check=True, stdout=subprocess.DEVNULL)
     assert tree_digest(out) == expected
+
+
+def test_n1000_tree_does_not_depend_on_the_worker_count(tmp_path):
+    """The n1000 config's three trials, run by a pool of two worker
+    processes, write the tree recorded for one process: the pooled n=1000
+    path that criterion 7 takes."""
+    if usable_cpus() < 2:
+        pytest.skip("run_experiment runs one process per usable CPU, and this process has one")
+    expected = golden("n1000")
+    [sweep] = same_trees.configs()["n1000"]
+    same_trees.run_config(ROOT, [sweep + ["--workers", "2"]], tmp_path / "n1000")
+    assert tree_digest(tmp_path / "n1000") == expected
 
 
 def test_a_config_without_a_digest_fails_naming_it(monkeypatch, tmp_path):

@@ -242,8 +242,8 @@ def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
 class ClampAlways(EvalCache):
     """An EvalCache whose sigmoid decoders clamp every pre-activation."""
 
-    def _decoder_bound(self, g):
-        return np.inf
+    def _component_bounds(self):
+        return np.full_like(super()._component_bounds(), np.inf)
 
 
 def clamped_layer_sums(dec_pre, X):
@@ -436,7 +436,9 @@ def test_judge_clamp_follows_decoder_accepts_both_ways(arch):
     unless the next proposal of that weight and the next hidden proposal of
     node 1 clamp. The decoder proposal's candidate keeps the bits of the
     always-clamping `parent_outcome`, and the hidden proposal's sums those of
-    one clamped (m, n) array."""
+    one clamped (m, n) array. The judge's bound is renewed from the moved
+    weight alone: it rises past CLAMP with the weight and falls back with it,
+    the moved component having held the judge's largest bound."""
     net, ds, cache = make_cache(arch, count=31)
     X = ds.inputs
     g = 1 if arch == "nan" else 0
@@ -446,6 +448,13 @@ def test_judge_clamp_follows_decoder_accepts_both_ways(arch):
         for delta in (-1e6, 1e6, -1e6):
             cache.propose(coord, delta)
             cache.accept()
+            # nan neuron 1's largest |d_i|, or ann's largest sum_j |decoder[i, j]|
+            if arch == "nan":
+                scratch = np.abs(net.decoder[1]).max()
+            else:
+                scratch = np.abs(net.decoder).sum(axis=1).max()
+            assert cache._judge_bound[g] == pytest.approx(scratch, rel=1e-12), delta
+            assert incremental._clips(cache._judge_bound[g], 0.0) == (delta < 0), delta
             move = float(rng.uniform(-1, 1))
             cand, _, _ = parent_outcome(cache, coord, move)
             assert cache.propose(coord, move)[1].hex() == cand.hex(), delta

@@ -42,6 +42,20 @@ def test_construction_deterministic():
     assert nk_new(5, 2, seed=42) != nk_new(5, 2, seed=43)
 
 
+@pytest.mark.parametrize("mode", ["random", "adjacent"])
+def test_nk_new_does_not_recheck_its_own_draws(monkeypatch, mode):
+    drawn = nk_new(30, 4, seed=9, neighbor_mode=mode)
+    built = NkLandscape(30, 4, 9, drawn.neighbors.copy(), drawn.tables.copy(), mode)
+
+    def refuse(table):
+        raise ParameterError("the table was checked")
+
+    monkeypatch.setattr(landscape, "_check_table", refuse)
+    assert nk_new(30, 4, seed=9, neighbor_mode=mode) == built
+    with pytest.raises(ParameterError, match="the table was checked"):
+        NkLandscape(30, 4, 9, built.neighbors, built.tables, mode)
+
+
 def test_neighbor_invariants():
     land = nk_new(12, 4, seed=9)
     for i in range(12):

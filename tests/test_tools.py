@@ -110,6 +110,8 @@ def test_bench_pairs_refuses_a_checkout_with_compiled_modules(
     ("5-3", "'5-3' is an empty range"),
     ("1-3,2", "'1-3,2' names a seed twice"),
     ("4,4", "'4,4' names a seed twice"),
+    # three seeds are a valid list, but too few traced pairs
+    ("1-3", "--trace 1 needs at least 4 seeds, got 3"),
 ])
 def test_bench_pairs_refuses_a_bad_seed_list_before_any_run(
         bench_pairs, monkeypatch, tmp_path, capsys, seeds, message):
@@ -117,7 +119,7 @@ def test_bench_pairs_refuses_a_bad_seed_list_before_any_run(
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main([str(plain_parent(tmp_path)), "--workload", "w", "--seeds", seeds,
-                          "--out", str(tmp_path / "pairs.json")])
+                          "--trace", "1", "--out", str(tmp_path / "pairs.json")])
     assert exc.value.code == 2
     assert runs == []
     assert message in capsys.readouterr().err

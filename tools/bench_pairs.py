@@ -20,6 +20,9 @@ in which the change read better, worse or the same, by the direction
 - `within_bound`: the change's median is worse than the parent's by at most
   the relative `bound` of `BENCHMARK.json` (null for a metric with none).
 
+One traced pair shows noise rather than per-block time, so `--trace 1`
+needs at least 4 seeds; fewer, like a bad seed list, exit 2 before any run.
+
 An existing `--out` file keeps its other entries, so one file can hold
 several workloads and several seed lists of one workload. Exits 1 if a run
 fails or its output checks fail, and, before the first pair, if `--out`
@@ -38,6 +41,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the fewest traced pairs whose per-block times a change may be judged by
+MIN_TRACED_PAIRS = 4
 
 
 def _seeds(text: str) -> list:
@@ -130,6 +135,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write or extend")
     args = parser.parse_args(argv)
+    if args.trace and len(args.seeds) < MIN_TRACED_PAIRS:
+        parser.error(f"--trace 1 needs at least {MIN_TRACED_PAIRS} seeds, got {len(args.seeds)}")
     parent = args.parent.resolve()
     if not (parent / "benchmarks" / "run.py").is_file():
         parser.error(f"{parent} has no benchmarks/run.py")
