@@ -240,7 +240,8 @@ def test_nan_clamps_decoder_weights_above_clamp(monkeypatch, decoder_bias):
 
 
 class ClampAlways(EvalCache):
-    """An EvalCache whose sigmoid decoders clamp every pre-activation."""
+    """An EvalCache whose sigmoid decoders clamp every pre-activation, until a
+    decoder accept renews a component's bound from its weights."""
 
     def _component_bounds(self):
         return np.full_like(super()._component_bounds(), np.inf)
