@@ -340,38 +340,6 @@ def aggregate(results, cell: tuple[int, int]) -> dict:
 
 # --- figure data -----------------------------------------------------------------
 
-def _cell_snapshot_series(out_dir, results, n, k, arch):
-    """Stack snapshot logs for every run of (n, k, arch); returns (iters, rows)."""
-    runs = sorted(r.run for r in results if r.n == n and r.k == k and r.arch == arch)
-    if not runs:
-        raise ParameterError(f"no runs recorded for n={n}, k={k}, arch={arch}")
-    all_snaps = []
-    for run in runs:
-        path = run_paths(cell_dir(out_dir, n, k), arch, run)["snapshots"]
-        all_snaps.append(hillclimb.read_snapshot_log(path))
-    iters = [s.iteration for s in all_snaps[0]]
-    for snaps in all_snaps:
-        if [s.iteration for s in snaps] != iters:
-            raise ParameterError("snapshot logs disagree on iteration grid")
-    return iters, all_snaps
-
-
-def emit_fig6_series(out_dir) -> Path:
-    """Mean/min/max final test MSE for every (n, k, arch) in the results table."""
-    out_dir = Path(out_dir)
-    results = load_results_csv(out_dir / "results.csv")
-    cells: dict[tuple, list] = {}
-    for r in results:
-        cells.setdefault((r.n, r.k, r.arch), []).append(r.final_test_mse)
-    rows = []
-    for (n, k, arch), values in sorted(cells.items()):
-        s = stats.summarize(values)
-        rows.append([str(n), str(k), arch, float_cell(s.mean), float_cell(s.min), float_cell(s.max)])
-    path = out_dir / "fig6.csv"
-    write_csv(path, "n,k,arch,mean_test_mse,min_test_mse,max_test_mse", rows)
-    return path
-
-
 # figure tag -> (snapshot columns averaged over runs, default architectures)
 _CURVES = {
     "fig5": (("train_task_mse", "train_ae_mse"), ("nan", "ann")),
@@ -379,40 +347,59 @@ _CURVES = {
 }
 
 
-def _emit_curves(out_dir, figure, n, k, archs, columns) -> Path:
-    """Mean of each snapshot column over the runs of (n, k, arch), per snapshot iteration.
+def emit_series(out_dir, figure: str, n: int | None = None, k: int | None = None, archs=None) -> Path:
+    """Write one figure's CSV series from a sweep's results table and snapshot logs.
 
-    The first column must be present in every run; a later one that some
-    run lacks (the reconstruction MSE of nn) is left empty.
+    fig6 holds the mean, min and max final test MSE of every (n, k, arch).
+    fig5 and fig7 hold, per snapshot iteration of cell (n, k), the mean over
+    each arch's runs of every snapshot column in `_CURVES`. The first column
+    must be present in every run; a later one that some run lacks (the
+    reconstruction MSE of nn) is left empty.
     """
+    if figure == "fig6":
+        if (n, k, archs) != (None, None, None):
+            raise ParameterError("fig6 covers every cell: it takes no n, k or archs")
+    elif figure not in _CURVES:
+        raise ParameterError(f"unknown figure tag {figure!r}; expected fig5, fig6 or fig7")
+    elif n is None or k is None:
+        raise ParameterError(f"{figure} requires both n and k")
+    else:
+        columns, default_archs = _CURVES[figure]
+        archs = archs or default_archs
+        _check_distinct("archs", archs)
     out_dir = Path(out_dir)
-    results = load_results_csv(out_dir / "results.csv")
+    groups: dict[tuple, list] = {}  # (n, k, arch) -> its results, in table order
+    for r in load_results_csv(out_dir / "results.csv"):
+        groups.setdefault((r.n, r.k, r.arch), []).append(r)
     rows = []
+    if figure == "fig6":
+        for (cell_n, cell_k, arch), runs in sorted(groups.items()):
+            s = stats.summarize([r.final_test_mse for r in runs])
+            rows.append([str(cell_n), str(cell_k), arch,
+                         float_cell(s.mean), float_cell(s.min), float_cell(s.max)])
+        path = out_dir / "fig6.csv"
+        write_csv(path, "n,k,arch,mean_test_mse,min_test_mse,max_test_mse", rows)
+        return path
+    directory = cell_dir(out_dir, n, k)
     for arch in archs:
-        iters, snaps = _cell_snapshot_series(out_dir, results, n, k, arch)
+        runs = sorted(r.run for r in groups.get((n, k, arch), ()))
+        if not runs:
+            raise ParameterError(f"no runs recorded for n={n}, k={k}, arch={arch}")
+        paths = [run_paths(directory, arch, run)["snapshots"] for run in runs]
+        logs = [hillclimb.read_snapshot_log(p) for p in paths]
+        iters = [s.iteration for s in logs[0]]
+        for p, snaps in zip(paths, logs):
+            if [s.iteration for s in snaps] != iters:
+                raise ParameterError(
+                    f"{p}: snapshot logs disagree on iteration grid with {paths[0].name}")
         means = []
         for column in columns:
-            values = [[getattr(s, column) for s in run] for run in snaps]
+            values = [[getattr(s, column) for s in snaps] for snaps in logs]
             means.append(None if any(None in v for v in values) else np.mean(values, axis=0))
         if means[0] is None:
             raise ParameterError(f"runs for arch {arch!r} carry no {columns[0]} snapshots")
         for idx, it in enumerate(iters):
-            cells = [float_cell(None if mean is None else mean[idx]) for mean in means]
-            rows.append([str(it), arch, *cells])
-    path = out_dir / f"{figure}_{cell_dir(out_dir, n, k).name}.csv"
+            rows.append([str(it), arch, *(float_cell(None if m is None else m[idx]) for m in means)])
+    path = out_dir / f"{figure}_{directory.name}.csv"
     write_csv(path, ",".join(["iter", "arch", *(f"mean_{column}" for column in columns)]), rows)
     return path
-
-
-def emit_series(out_dir, figure: str, n: int | None = None, k: int | None = None, archs=None) -> Path:
-    """Dispatch to the figure-style emitters by tag: fig5, fig6 or fig7."""
-    if figure == "fig6":
-        return emit_fig6_series(out_dir)
-    if figure not in _CURVES:
-        raise ParameterError(f"unknown figure tag {figure!r}; expected fig5, fig6 or fig7")
-    if n is None or k is None:
-        raise ParameterError(f"{figure} requires both n and k")
-    columns, default_archs = _CURVES[figure]
-    archs = archs or default_archs
-    _check_distinct("archs", archs)
-    return _emit_curves(out_dir, figure, n, k, archs, columns)

@@ -6,6 +6,7 @@ real experiments as sweeps on every usable CPU and take minutes each; the
 whole module fits in the stated runtime budgets on a single core.
 """
 
+import shutil
 import time
 
 import numpy as np
@@ -189,6 +190,7 @@ def test_criterion_5_statistics_validation():
 
 @pytest.fixture(scope="module")
 def small_n_sweep(tmp_path_factory):
+    """The sweep tree, removed after its last test: pytest keeps a factory directory."""
     out = tmp_path_factory.mktemp("c6_sweep")
     start = time.perf_counter()
     config = ExperimentConfig(
@@ -196,12 +198,12 @@ def small_n_sweep(tmp_path_factory):
         archs=("nan", "ann"), runs=20, train_config=TrainConfig(seed=0), workers=WORKERS,
     )
     results = run_experiment(config)
-    return out, results, time.perf_counter() - start
+    yield out, results, time.perf_counter() - start
+    shutil.rmtree(out)
 
 
 def test_criterion_6_small_n_directional_claim(small_n_sweep):
-    out, results, elapsed = small_n_sweep
-    lines = ["k,nan_mean,ann_mean,welch_p,significant"]
+    _, results, elapsed = small_n_sweep
     cell_summaries = []
     failures = []
     for k in (2, 5, 10, 15):
@@ -209,13 +211,11 @@ def test_criterion_6_small_n_directional_claim(small_n_sweep):
         nan_mean = report["per_arch"]["nan"]["summary"]["mean"]
         ann_mean = report["per_arch"]["ann"]["summary"]["mean"]
         t = report["pairwise"]["ann_vs_nan"]
-        lines.append(f"{k},{nan_mean!r},{ann_mean!r},{t['p_value']!r},{t['significant']}")
         cell_summaries.append(f"k={k}: nan {nan_mean:.5f} ann {ann_mean:.5f} p={t['p_value']:.3g}")
         if nan_mean > ann_mean:
             failures.append(f"k={k}: NAN mean {nan_mean:.5f} > ANN mean {ann_mean:.5f}")
         if t["significant"] and ann_mean < nan_mean:
             failures.append(f"k={k}: ANN significantly better (p={t['p_value']:.3g})")
-    (out / "c6_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     ok = not failures and elapsed < 900.0
     check(6, ok, f"{'; '.join(cell_summaries)}; {elapsed:.0f}s with {WORKERS} workers (< 900s)"
                  + (f"; FAILURES: {failures}" if failures else ""))
@@ -259,10 +259,6 @@ def test_criterion_7_large_n_directional_claim(tmp_path):
     nn_mean = float(np.mean(finals["nn"]))
     report = welch_t_test(finals["nan"], finals["nn"])
     elapsed = time.perf_counter() - start
-    (tmp_path / "c7_report.csv").write_text(
-        "arch,mean_test_mse\n" f"nan,{nan_mean!r}\n" f"nn,{nn_mean!r}\n"
-        f"welch_p,{report.p_value!r}\n", encoding="utf-8",
-    )
     ok = nan_mean <= nn_mean and elapsed < 1800.0
     check(7, ok, f"n=1000 k=5: nan {nan_mean:.6f} <= nn {nn_mean:.6f}: {nan_mean <= nn_mean}, "
                  f"Welch p={report.p_value:.3g}; {elapsed:.0f}s with {WORKERS} workers (< 1800s)")

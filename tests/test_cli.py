@@ -183,6 +183,11 @@ def append_snapshot_row(out):
         fh.write("300,xyz,,\n")
 
 
+def cut_last_snapshot_row(out):
+    path = out / "n8_k2" / "nan_run01_snapshots.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
 FIG5 = ["plotdata", "--figure", "fig5", "--n", "8", "--k", "2", "--results-dir"]
 FIG6 = ["plotdata", "--figure", "fig6", "--results-dir"]
 # case -> (how a finished sweep is broken, the command that reads it, the error)
@@ -194,6 +199,8 @@ MALFORMED = {
         FIG6, "results.csv:3: invalid final_test_mse 'abc'"),
     "text snapshot mse": (append_snapshot_row, FIG5,
                           "nan_run00_snapshots.csv:5: invalid train_task_mse 'xyz'"),
+    "short snapshot log": (cut_last_snapshot_row, FIG5,
+                           "nan_run01_snapshots.csv: snapshot logs disagree on iteration grid"),
     "result without keys": (
         lambda out: (out / "n8_k2" / "nan_run00_result.json").write_text('{"n": 20}'),
         SWEEP_ARGS + ["--out-dir"], "nan_run00_result.json: trial result has no 'k'"),
@@ -218,6 +225,31 @@ def test_plotdata_for_a_cell_that_never_ran_exits_one(tmp_path, capsys):
     assert run_cli(*FIG5, str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert "no runs recorded for n=8, k=2, arch=nan" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", [("--n", "99", "--k", "1"), ("--archs", "nan")])
+def test_plotdata_fig6_refuses_a_cell(tmp_path, capsys, cell):
+    (tmp_path / "results.csv").write_text(RESULTS_HEADER + "\n")
+    assert run_cli(*FIG6, str(tmp_path), *cell) == 1
+    assert "fig6 covers every cell" in capsys.readouterr().err
+    assert not (tmp_path / "fig6.csv").exists()
+
+
+def test_plotdata_curve_without_its_first_column_exits_one(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = [*SWEEP_ARGS, "--out-dir", str(out)]
+    argv[argv.index("nan,ann")] = "nn"
+    assert run_cli(*argv) == 0
+    path = out / "n8_k2" / "nn_run01_snapshots.csv"
+    header, *rows = path.read_text().splitlines()
+    assert header.endswith(",test_task_mse")
+    path.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + "," for row in rows)]) + "\n")
+    capsys.readouterr()
+    assert run_cli("plotdata", "--figure", "fig7", "--n", "8", "--k", "2", "--archs", "nn",
+                   "--results-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "runs for arch 'nn' carry no test_task_mse snapshots" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,7 @@
 """The CSV codec of `nkae.errors`: the float cell rule, the writer and the readers."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,8 @@ def sweep(tmp_path_factory):
         train_config=TrainConfig(iterations=60, h=3, eval_interval=20),
         train_count=25, test_count=25,
     ))
-    return out
+    yield out
+    shutil.rmtree(out)
 
 
 def with_blank_lines(path):
